@@ -1,8 +1,7 @@
 #include "dist/coordinator.hpp"
 
-#include <cstdio>
-
 #include "support/error.hpp"
+#include "support/serial.hpp"
 
 namespace fgpar::dist {
 
@@ -16,13 +15,6 @@ LeaseTable::Config LeaseConfigFor(const Coordinator::Config& config) {
   lease.crash_budget = config.crash_budget;
   lease.target_slice_ms = config.target_slice_ms;
   return lease;
-}
-
-std::string Hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
 }
 
 }  // namespace
@@ -67,8 +59,8 @@ CoordinatorReply Coordinator::Apply(const WorkerReport& report,
   if (report.fingerprint != fingerprint_) {
     reply.code = 400;
     reply.error = "grid fingerprint mismatch: worker " +
-                  Hex16(report.fingerprint) + ", coordinator " +
-                  Hex16(fingerprint_) +
+                  Hex64(report.fingerprint) + ", coordinator " +
+                  Hex64(fingerprint_) +
                   " — the worker is running a different grid";
     return reply;
   }

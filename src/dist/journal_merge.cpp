@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,13 +20,6 @@ std::string Truncate(const std::string& text) {
     return text;
   }
   return text.substr(0, kQuarantineTextCap) + "...";
-}
-
-std::string FingerprintHex(std::uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buf;
 }
 
 void QuarantineLine(MergeResult& result, const std::string& path,
@@ -112,10 +104,10 @@ void MergeJournalFile(const std::string& path, std::string_view name,
                      header);
       return;
     }
-    if (file_fingerprint != FingerprintHex(fingerprint)) {
+    if (file_fingerprint != Hex64(fingerprint)) {
       QuarantineLine(result, path, 1,
                      "grid fingerprint mismatch (journal " + file_fingerprint +
-                         ", sweep " + FingerprintHex(fingerprint) + ")",
+                         ", sweep " + Hex64(fingerprint) + ")",
                      header);
       return;
     }

@@ -1,7 +1,5 @@
 #include "dist/protocol.hpp"
 
-#include <cstdio>
-
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/serial.hpp"
@@ -9,32 +7,6 @@
 namespace fgpar::dist {
 
 namespace {
-
-std::string Hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
-std::uint64_t ParseHex16(const std::string& text, const char* field) {
-  FGPAR_CHECK_MSG(text.size() == 16,
-                  std::string("fgpar-dist-v1: field '") + field +
-                      "' must be 16 hex digits, got '" + text + "'");
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      FGPAR_CHECK_MSG(false, std::string("fgpar-dist-v1: field '") + field +
-                                 "' has non-hex digit '" + c + "'");
-    }
-  }
-  return value;
-}
 
 const JsonValue& RequireSchema(const JsonValue& doc) {
   const JsonValue* schema = doc.Find("schema");
@@ -86,7 +58,7 @@ std::string EncodeReport(const WorkerReport& report) {
   w.Key("worker");
   w.String(report.worker);
   w.Key("fingerprint");
-  w.String(Hex16(report.fingerprint));
+  w.String(Hex64(report.fingerprint));
   w.Key("lease");
   w.UInt(report.lease_id);
   if (report.has_in_progress) {
@@ -136,8 +108,10 @@ WorkerReport ParseReport(std::string_view payload) {
   report.worker = doc.Get("worker").AsString();
   FGPAR_CHECK_MSG(!report.worker.empty(),
                   "fgpar-dist-v1: report needs a non-empty worker name");
-  report.fingerprint =
-      ParseHex16(doc.Get("fingerprint").AsString(), "fingerprint");
+  const std::string& fingerprint = doc.Get("fingerprint").AsString();
+  FGPAR_CHECK_MSG(ParseHex64(fingerprint, report.fingerprint),
+                  "fgpar-dist-v1: field 'fingerprint' must be 16 lowercase "
+                  "hex digits, got '" + fingerprint + "'");
   report.lease_id = doc.Get("lease").AsU64();
   if (const JsonValue* in_progress = doc.Find("in_progress")) {
     report.has_in_progress = true;

@@ -1,18 +1,10 @@
 #include "dist/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <csignal>
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
-#include <thread>
+#include <vector>
 
 #include "service/protocol.hpp"
 #include "support/error.hpp"
@@ -31,96 +23,14 @@ std::size_t CountFromEnv(const char* name) {
   return end != env && *end == '\0' ? static_cast<std::size_t>(value) : 0;
 }
 
-int ListenTcp(const std::string& spec, int& bound_port) {
-  // spec is "host:port" with the "tcp:" prefix stripped; the host names
-  // the interface to bind ("localhost"/empty = loopback).
-  const std::size_t colon = spec.rfind(':');
-  FGPAR_CHECK_MSG(colon != std::string::npos,
-                  "tcp listen address needs host:port, got tcp:" + spec);
-  std::string host = spec.substr(0, colon);
-  if (host.empty() || host == "localhost") {
-    host = "127.0.0.1";
-  }
-  const int port = std::atoi(spec.c_str() + colon + 1);
-  FGPAR_CHECK_MSG(port >= 0 && port <= 65535,
-                  "tcp listen port out of range in tcp:" + spec);
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  FGPAR_CHECK_MSG(fd >= 0, std::string("socket(): ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw Error("bad tcp listen host in tcp:" + spec);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string message =
-        "bind(tcp:" + spec + "): " + std::strerror(errno);
-    ::close(fd);
-    throw Error(message);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
-    bound_port = static_cast<int>(ntohs(bound.sin_port));
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string message =
-        "listen(tcp:" + spec + "): " + std::strerror(errno);
-    ::close(fd);
-    throw Error(message);
-  }
-  return fd;
-}
-
-int ListenUnix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  FGPAR_CHECK_MSG(fd >= 0, std::string("socket(): ") + std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  socklen_t addr_len = sizeof(addr);
-  if (!path.empty() && path[0] == '@') {
-    const std::size_t name_len = path.size() - 1;
-    if (name_len + 1 > sizeof(addr.sun_path)) {
-      ::close(fd);
-      throw Error("abstract socket name too long: " + path);
-    }
-    addr.sun_path[0] = '\0';
-    std::memcpy(addr.sun_path + 1, path.data() + 1, name_len);
-    addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
-                                      name_len);
-  } else {
-    if (path.size() + 1 > sizeof(addr.sun_path)) {
-      ::close(fd);
-      throw Error("socket path too long: " + path);
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ::unlink(path.c_str());  // a stale socket from a crashed run
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), addr_len) != 0) {
-    const std::string message = "bind(" + path + "): " + std::strerror(errno);
-    ::close(fd);
-    throw Error(message);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string message = "listen(" + path + "): " + std::strerror(errno);
-    ::close(fd);
-    throw Error(message);
-  }
-  return fd;
-}
-
 }  // namespace
 
 CoordinatorServer::CoordinatorServer(Coordinator& coordinator,
                                      std::string address)
     : coordinator_(coordinator),
-      address_(std::move(address)),
       epoch_(std::chrono::steady_clock::now()),
-      exit_after_(CountFromEnv("FGPAR_COORD_EXIT_AFTER")) {}
+      exit_after_(CountFromEnv("FGPAR_COORD_EXIT_AFTER")),
+      listener_(std::move(address)) {}
 
 CoordinatorServer::~CoordinatorServer() { Stop(); }
 
@@ -134,12 +44,7 @@ std::uint64_t CoordinatorServer::NowMs() const {
 void CoordinatorServer::Start() {
   // A worker that dies mid-reply must cost us an EPIPE, not the process.
   std::signal(SIGPIPE, SIG_IGN);
-  if (address_.rfind("tcp:", 0) == 0) {
-    listen_fd_ = ListenTcp(address_.substr(4), bound_port_);
-  } else {
-    listen_fd_ = ListenUnix(address_);
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  listener_.Start([this](int fd) { ServeConnection(fd); });
   ticker_thread_ = std::thread([this] { TickerLoop(); });
 }
 
@@ -158,55 +63,11 @@ void CoordinatorServer::Stop() {
     return;
   }
   done_cv_.notify_all();
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
+  listener_.StopAccepting();
   if (ticker_thread_.joinable()) {
     ticker_thread_.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : conn_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  for (std::thread& conn : conn_threads_) {
-    conn.join();
-  }
-  conn_threads_.clear();
-  conn_fds_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!address_.empty() && address_[0] != '@' &&
-      address_.rfind("tcp:", 0) != 0) {
-    ::unlink(address_.c_str());
-  }
-}
-
-void CoordinatorServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) {
-      continue;  // timeout or EINTR: re-check the stop flag
-    }
-    // SOCK_CLOEXEC is load-bearing: the coordinator forks worker
-    // processes while connections are live.  A leaked accepted fd in a
-    // sibling keeps a dead coordinator's side of another worker's
-    // connection open, so that worker's recv() never sees EOF and it
-    // hangs forever instead of exiting when the coordinator is killed.
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
+  listener_.Close();
 }
 
 void CoordinatorServer::TickerLoop() {
@@ -269,12 +130,7 @@ void CoordinatorServer::ServeConnection(int fd) {
     for (const std::uint64_t lease_id : granted) {
       coordinator_.RevokeLease(lease_id);
     }
-    // Drop the fd from the shutdown list before closing so Stop() can
-    // never shut down a number the kernel has since recycled.
-    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                    conn_fds_.end());
   }
-  ::close(fd);
 }
 
 }  // namespace fgpar::dist

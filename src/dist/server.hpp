@@ -1,7 +1,8 @@
-// The coordinator's plumbing: listener, per-connection threads, lease
-// ticker, real time.  All policy lives in Coordinator (coordinator.hpp);
-// this class only moves frames and enforces the two liveness rules the
-// pure core cannot see:
+// The coordinator's plumbing: lease ticker, real time, and frames moved
+// over a support/net listener (which owns the accept loop and the
+// per-connection threads).  All policy lives in Coordinator
+// (coordinator.hpp); this class only moves frames and enforces the two
+// liveness rules the pure core cannot see:
 //
 //  * connection EOF revokes every lease granted over that connection
 //    immediately — a worker that died (or was SIGKILLed) should not tie
@@ -10,7 +11,7 @@
 //    worker that is alive-but-wedged (holding its socket open, sending
 //    nothing) is revoked by the heartbeat deadline.
 //
-// Address forms match service/client.hpp: "@name" (abstract AF_UNIX),
+// Addresses follow the support/net grammar: "@name" (abstract AF_UNIX),
 // "tcp:host:port" (the multi-host transport; port 0 picks a free port,
 // see bound_port()), anything else a filesystem AF_UNIX path.
 //
@@ -29,9 +30,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "dist/coordinator.hpp"
+#include "support/net.hpp"
 
 namespace fgpar::dist {
 
@@ -66,31 +67,26 @@ class CoordinatorServer {
   }
 
   /// The actual TCP port after Start() with "tcp:host:0" (0 otherwise).
-  int bound_port() const { return bound_port_; }
+  int bound_port() const { return listener_.bound_port(); }
 
   /// Milliseconds on the server's monotonic clock (0 at construction).
   std::uint64_t NowMs() const;
 
  private:
-  void AcceptLoop();
   void TickerLoop();
   void ServeConnection(int fd);
 
   Coordinator& coordinator_;
-  std::string address_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
   std::atomic<bool> stop_{false};
   std::chrono::steady_clock::time_point epoch_;
 
-  std::mutex mutex_;  // guards coordinator_, conn state, and done_cv_
+  std::mutex mutex_;  // guards coordinator_, commits_this_run_, done_cv_
   std::condition_variable done_cv_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-  std::thread accept_thread_;
   std::thread ticker_thread_;
   std::size_t commits_this_run_ = 0;
   std::size_t exit_after_ = 0;  // FGPAR_COORD_EXIT_AFTER drill
+
+  net::Listener listener_;  // last: its threads use the members above
 };
 
 }  // namespace fgpar::dist

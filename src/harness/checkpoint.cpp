@@ -1,7 +1,6 @@
 #include "harness/checkpoint.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -12,13 +11,6 @@ namespace fgpar::harness {
 
 namespace {
 constexpr const char kCheckpointVersion[] = "fgpar-ckpt-v1";
-
-std::string FingerprintHex(std::uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buf;
-}
 
 std::size_t ParseIndex(std::string_view text, const std::string& path) {
   std::size_t value = 0;
@@ -92,10 +84,10 @@ SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
                   "checkpoint " + checkpoint.path_ + " belongs to sweep '" +
                       file_name + "', not '" + checkpoint.name_ + "'");
   FGPAR_CHECK_MSG(
-      file_fingerprint == FingerprintHex(fingerprint),
+      file_fingerprint == Hex64(fingerprint),
       "checkpoint " + checkpoint.path_ +
           " was written for a different grid (fingerprint " + file_fingerprint +
-          ", expected " + FingerprintHex(fingerprint) +
+          ", expected " + Hex64(fingerprint) +
           "); the sweep's points changed — delete the checkpoint to start over");
   if (slice_fingerprint == 0) {
     FGPAR_CHECK_MSG(
@@ -105,7 +97,7 @@ SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
             "), not the whole grid; a worker journal cannot seed a "
             "whole-grid resume — merge it instead (fgpar-coord --merge-dir)");
   } else {
-    const std::string expected = "slice=" + FingerprintHex(slice_fingerprint);
+    const std::string expected = "slice=" + Hex64(slice_fingerprint);
     FGPAR_CHECK_MSG(
         !file_slice.empty(),
         "checkpoint " + checkpoint.path_ +
@@ -171,9 +163,9 @@ void SweepCheckpoint::WriteFileAtomic() const {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     FGPAR_CHECK_MSG(out.good(), "cannot open " + tmp + " for writing");
     out << kCheckpointVersion << ' ' << name_ << ' '
-        << FingerprintHex(fingerprint_);
+        << Hex64(fingerprint_);
     if (slice_fingerprint_ != 0) {
-      out << " slice=" << FingerprintHex(slice_fingerprint_);
+      out << " slice=" << Hex64(slice_fingerprint_);
     }
     out << '\n';
     for (const auto& [index, payload] : points_) {

@@ -1,6 +1,5 @@
 #include "service/cache.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -12,31 +11,6 @@ namespace fgpar::service {
 namespace {
 
 constexpr const char kCacheVersion[] = "fgpar-cache-v1";
-
-std::string Hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
-bool ParseHex64(std::string_view text, std::uint64_t& value) {
-  if (text.size() != 16) {
-    return false;
-  }
-  value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 

@@ -1,95 +1,14 @@
 #include "service/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstddef>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
+
+#include "support/net.hpp"
 
 namespace fgpar::service {
 
-namespace {
-
-int ConnectTcp(const std::string& spec) {
-  // spec is "host:port" (the "tcp:" prefix already stripped).
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= spec.size()) {
-    errno = EINVAL;
-    return -1;
-  }
-  std::string host = spec.substr(0, colon);
-  if (host.empty() || host == "localhost") {
-    host = "127.0.0.1";
-  }
-  const int port = std::atoi(spec.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    errno = EINVAL;
-    return -1;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    errno = EINVAL;
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return -1;
-  }
-  return fd;
-}
-
-}  // namespace
-
-int ConnectOnce(const std::string& address) {
-  if (address.rfind("tcp:", 0) == 0) {
-    return ConnectTcp(address.substr(4));
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  socklen_t addr_len = sizeof(addr);
-  if (address.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    errno = ENAMETOOLONG;
-    return -1;
-  }
-  if (!address.empty() && address[0] == '@') {
-    const std::size_t name_len = address.size() - 1;
-    addr.sun_path[0] = '\0';
-    std::memcpy(addr.sun_path + 1, address.data() + 1, name_len);
-    addr_len =
-        static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + name_len);
-  } else {
-    std::memcpy(addr.sun_path, address.c_str(), address.size() + 1);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), addr_len) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return -1;
-  }
-  return fd;
-}
+int ConnectOnce(const std::string& address) { return net::Connect(address); }
 
 int ConnectWithBackoff(const std::string& address, double budget_seconds,
                        unsigned cap_ms) {

@@ -1,12 +1,9 @@
 // Client-side socket plumbing shared by every fgpar-rpc-v1 consumer
 // (fgpar-load, the distributed sweep worker, tests).
 //
-// Address forms mirror the listeners':
-//
-//   @name          — Linux abstract-namespace stream socket;
-//   tcp:host:port  — TCP (the multi-host transport; host is an IPv4
-//                    dotted quad or "localhost");
-//   anything else  — filesystem AF_UNIX socket path.
+// Addresses follow the support/net grammar the listeners use: "@name"
+// (abstract namespace), "tcp:host:port", or a filesystem socket path,
+// with the same name-length limit on both sides.
 //
 // A daemon restart (crash-and-recover soaks, coordinator failover) shows
 // up client-side as ECONNREFUSED / ENOENT for however long the process
@@ -22,8 +19,8 @@
 
 namespace fgpar::service {
 
-/// One connect attempt to `address`; returns the connected fd or -1
-/// (errno preserved from the failing call).
+/// One connect attempt to `address` (net::Connect); returns the connected
+/// fd, or -1 with errno set (EINVAL / ENAMETOOLONG for a bad address).
 int ConnectOnce(const std::string& address);
 
 /// Deterministic capped-backoff connect: retries ConnectOnce until it

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "harness/runner.hpp"
 #include "support/buildinfo.hpp"
 #include "support/error.hpp"
+#include "support/serial.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry/sinks.hpp"
@@ -19,13 +19,6 @@
 namespace fgpar::service {
 
 namespace {
-
-std::string Hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 /// The same deterministic workload fgparc builds: i64 params get the
 /// request's trip count, f64 params and arrays derive from the run seed.

@@ -1,15 +1,8 @@
 #include "service/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <csignal>
-#include <cstring>
 
 #include "harness/sweep.hpp"
-#include "support/error.hpp"
 
 namespace fgpar::service {
 
@@ -22,19 +15,16 @@ volatile std::sig_atomic_t g_stop_signal = 0;
 extern "C" void FgpardOnStopSignal(int) { g_stop_signal = 1; }
 
 SocketServer::SocketServer(ServiceCore& core, std::string socket_path)
-    : core_(core), socket_path_(std::move(socket_path)) {
+    : core_(core), listener_(std::move(socket_path)) {
   core_.set_queue_depth_probe([this] { return QueueDepth(); });
 }
 
 SocketServer::~SocketServer() {
   RequestStop();
-  if (accept_thread_.joinable()) {
+  if (!workers_.empty()) {
     // ServeUntilShutdown was never run (or aborted); drain here so no
     // thread outlives the object.
     ServeUntilShutdown();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
   }
 }
 
@@ -47,37 +37,7 @@ void SocketServer::InstallSignalHandlers() {
 }
 
 void SocketServer::Start() {
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    throw Error(std::string("socket(): ") + std::strerror(errno));
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  socklen_t addr_len = sizeof(addr);
-  if (!socket_path_.empty() && socket_path_[0] == '@') {
-    // Linux abstract namespace: a leading NUL instead of the '@'.
-    const std::size_t name_len = socket_path_.size() - 1;
-    if (name_len + 1 > sizeof(addr.sun_path)) {
-      throw Error("abstract socket name too long: " + socket_path_);
-    }
-    addr.sun_path[0] = '\0';
-    std::memcpy(addr.sun_path + 1, socket_path_.data() + 1, name_len);
-    addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
-                                      name_len);
-  } else {
-    if (socket_path_.size() + 1 > sizeof(addr.sun_path)) {
-      throw Error("socket path too long: " + socket_path_);
-    }
-    std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-    ::unlink(socket_path_.c_str());  // a stale socket from a crashed run
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), addr_len) != 0) {
-    throw Error("bind(" + socket_path_ + "): " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    throw Error("listen(" + socket_path_ + "): " + std::strerror(errno));
-  }
-
+  listener_.Start([this](int fd) { ServeConnection(fd); });
   const int workers = core_.config().workers > 0
                           ? core_.config().workers
                           : harness::ResolveSweepThreads(0);
@@ -85,8 +45,6 @@ void SocketServer::Start() {
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  accepting_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
 void SocketServer::RequestStop() { stop_.store(true, std::memory_order_relaxed); }
@@ -99,28 +57,6 @@ bool SocketServer::StopRequested() const {
 std::size_t SocketServer::QueueDepth() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return queue_.size();
-}
-
-void SocketServer::AcceptLoop() {
-  while (!StopRequested()) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    // Short timeout so a drain request is noticed promptly even with no
-    // client traffic.
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready <= 0) {
-      continue;  // timeout or EINTR: re-check the stop flag
-    }
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
-  accepting_.store(false, std::memory_order_release);
 }
 
 void SocketServer::WorkerLoop() {
@@ -206,7 +142,6 @@ void SocketServer::ServeConnection(int fd) {
       break;
     }
   }
-  ::close(fd);
 }
 
 int SocketServer::ServeUntilShutdown() {
@@ -216,9 +151,7 @@ int SocketServer::ServeUntilShutdown() {
   RequestStop();  // make the drain sticky whatever triggered it
 
   // 1. No new connections.
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
+  listener_.StopAccepting();
 
   // 2. Queued and in-flight jobs finish; their responses are delivered by
   //    the connection threads still blocked on the futures.
@@ -233,26 +166,9 @@ int SocketServer::ServeUntilShutdown() {
   }
   workers_.clear();
 
-  // 3. Unblock connection threads parked in ReadFrame and join them.
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : conn_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  for (std::thread& conn : conn_threads_) {
-    conn.join();
-  }
-  conn_threads_.clear();
-  conn_fds_.clear();
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!socket_path_.empty() && socket_path_[0] != '@') {
-    ::unlink(socket_path_.c_str());
-  }
+  // 3. Unblock connection threads parked in ReadFrame, join them, and
+  //    release the socket.
+  listener_.Close();
   return 0;
 }
 

@@ -1,15 +1,17 @@
-// The fgpard socket server: connections, admission control, lifecycle.
+// The fgpard socket server: admission control, the worker pool and the
+// drain order.
 //
-// Transport is a local stream socket.  Paths starting with '@' bind the
-// Linux abstract namespace (no filesystem entry, no 108-byte path
-// anxiety, auto-cleanup on exit); any other path is a regular filesystem
-// socket that is unlinked on clean shutdown.
+// Transport is support/net: the listen address follows its grammar —
+// "@name" (Linux abstract namespace), "tcp:host:port" (port 0 picks a
+// free one, see bound_port()), or a filesystem socket path unlinked on
+// clean shutdown — and net::Listener owns the accept loop and the
+// per-connection threads.  This class keeps only the service's policy.
 //
 // Threading model, smallest thing that meets the guarantees:
 //
-//   accept thread   — poll()s the listening socket with a short timeout
-//                     so stop requests are noticed promptly; one thread
-//                     per accepted connection (clients are few and local);
+//   net::Listener   — accept thread plus one thread per connection
+//                     (clients are few); finished ones are joined as the
+//                     server runs, not only at shutdown;
 //   conn threads    — read frames sequentially; health/stats/shutdown are
 //                     answered inline (they must work under overload),
 //                     compile_run goes through TryEnqueue;
@@ -49,6 +51,7 @@
 
 #include "service/core.hpp"
 #include "service/protocol.hpp"
+#include "support/net.hpp"
 
 namespace fgpar::service {
 
@@ -80,6 +83,9 @@ class SocketServer {
 
   std::size_t QueueDepth() const;
 
+  /// The actual TCP port after Start() with "tcp:host:0" (0 otherwise).
+  int bound_port() const { return listener_.bound_port(); }
+
  private:
   struct Job {
     Request request;
@@ -87,17 +93,12 @@ class SocketServer {
     std::promise<std::string> response;
   };
 
-  void AcceptLoop();
   void WorkerLoop();
   void ServeConnection(int fd);
   bool StopRequested() const;
 
   ServiceCore& core_;
-  const std::string socket_path_;
-  int listen_fd_ = -1;
-
-  std::atomic<bool> stop_{false};      // drain requested
-  std::atomic<bool> accepting_{false}; // accept loop live
+  std::atomic<bool> stop_{false};  // drain requested
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -105,12 +106,9 @@ class SocketServer {
   std::size_t in_flight_ = 0;  // jobs popped but not yet answered
   bool workers_stop_ = false;
 
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // non-empty from Start to drained
 
-  std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  net::Listener listener_;  // last: its threads use the members above
 };
 
 }  // namespace fgpar::service

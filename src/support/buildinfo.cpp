@@ -1,7 +1,5 @@
 #include "support/buildinfo.hpp"
 
-#include <cstdio>
-
 #include "support/serial.hpp"
 
 // The build system passes these through target_compile_definitions; the
@@ -36,11 +34,6 @@ std::uint64_t BuildConfigHash() {
   return hash;
 }
 
-std::string BuildConfigHashHex() {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(BuildConfigHash()));
-  return buf;
-}
+std::string BuildConfigHashHex() { return Hex64(BuildConfigHash()); }
 
 }  // namespace fgpar

@@ -166,6 +166,29 @@ std::string HexDecodeToString(std::string_view hex) {
   return std::string(bytes.begin(), bytes.end());
 }
 
+std::string Hex64(std::uint64_t value) {
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, value >>= 4) {
+    *it = kHexDigits[value & 0xF];
+  }
+  return out;
+}
+
+bool ParseHex64(std::string_view text, std::uint64_t& value) {
+  if (text.size() != 16) {
+    return false;
+  }
+  value = 0;
+  for (const char c : text) {
+    const int nibble = HexNibble(c);
+    if (nibble < 0 || (c >= 'A' && c <= 'F')) {
+      return false;  // lowercase only: Hex64 never writes uppercase
+    }
+    value = (value << 4) | static_cast<std::uint64_t>(nibble);
+  }
+  return true;
+}
+
 std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   std::uint64_t hash = seed;
   const auto* p = static_cast<const std::uint8_t*>(data);

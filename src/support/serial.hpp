@@ -8,7 +8,8 @@
 // silently producing garbage — corrupt or truncated inputs must fail loud.
 //
 // HexEncode/HexDecode map byte blobs to lowercase hex for line-oriented
-// text formats (the sweep checkpoint journal), and Fnv1a64 provides the
+// text formats (the sweep checkpoint journal), Hex64/ParseHex64 do the
+// same for a single 64-bit value, and Fnv1a64 provides the
 // stable content fingerprint used by snapshot identity checks and
 // checkpoint grid fingerprints.
 #pragma once
@@ -78,6 +79,14 @@ std::string HexEncode(std::string_view bytes);
 /// characters.
 std::vector<std::uint8_t> HexDecode(std::string_view hex);
 std::string HexDecodeToString(std::string_view hex);
+
+/// A 64-bit value as exactly 16 lowercase hex digits (zero-padded): the
+/// text form of every fingerprint, checksum and cache key in the tree.
+std::string Hex64(std::uint64_t value);
+
+/// Strict inverse of Hex64: accepts exactly 16 lowercase hex digits and
+/// nothing else.  Returns false (leaving `value` unspecified) otherwise.
+bool ParseHex64(std::string_view text, std::uint64_t& value);
 
 /// FNV-1a over a byte sequence; stable across hosts.
 std::uint64_t Fnv1a64(const void* data, std::size_t size,

@@ -4,8 +4,6 @@
 //  * AggregatingSink  — in-memory statistics + ordered span log; the
 //                       cheapest "is telemetry on" sink, used by tests and
 //                       by --compile-stats to rebuild its report.
-//  * JsonLinesSink    — one compact JSON object per event per line, for
-//                       ad hoc piping into jq and friends.
 //  * ChromeTraceSink  — accumulates a Chrome trace_event document viewable
 //                       at ui.perfetto.dev or chrome://tracing.  Sim
 //                       events map 1 cycle = 1 µs on per-stream "sim"
@@ -23,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -63,23 +60,6 @@ class AggregatingSink : public TelemetrySink {
   std::array<std::uint64_t, 5> sim_counts_{};
   std::array<std::uint64_t, 5> stall_cycles_{};
   std::vector<SpanRecord> spans_;
-};
-
-/// Writes one compact JSON object per event to `out`.  Span lines are
-/// omitted when `include_host` is false (host wall times are not
-/// deterministic).  The stream must outlive the sink.
-class JsonLinesSink : public TelemetrySink {
- public:
-  explicit JsonLinesSink(std::ostream& out,
-                         bool include_host = !HostFieldsSuppressed());
-
-  void OnSim(const SimEvent& event) override;
-  void OnSpan(const SpanEvent& event) override;
-
- private:
-  std::mutex mu_;
-  std::ostream& out_;
-  bool include_host_;
 };
 
 /// Accumulates events and renders them as one Chrome trace_event JSON

@@ -6,6 +6,7 @@
 #include "support/buildinfo.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/serial.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
@@ -191,6 +192,21 @@ TEST(BuildInfo, IdentityIsWellFormedAndSelfConsistent) {
   ASSERT_EQ(hex.size(), 16u);
   for (const char c : hex) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hex;
+  }
+}
+
+TEST(Hex64, ZeroPaddedLowercaseAndStrictInverse) {
+  EXPECT_EQ(Hex64(0), "0000000000000000");
+  EXPECT_EQ(Hex64(0xabcdef0123456789ull), "abcdef0123456789");
+  EXPECT_EQ(Hex64(0x2aull), "000000000000002a");
+  std::uint64_t value = 0;
+  ASSERT_TRUE(ParseHex64("ffffffffffffffff", value));
+  EXPECT_EQ(value, ~0ull);
+  ASSERT_TRUE(ParseHex64(Hex64(0x0123456789abcdefull), value));
+  EXPECT_EQ(value, 0x0123456789abcdefull);
+  for (const char* bad : {"", "2a", "000000000000002A", "000000000000002g",
+                          "0000000000000000 ", "00000000000000000"}) {
+    EXPECT_FALSE(ParseHex64(bad, value)) << '"' << bad << '"';
   }
 }
 

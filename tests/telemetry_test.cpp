@@ -15,7 +15,6 @@
 //  * the sweep supervisor's failure forensics ring.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -188,20 +187,6 @@ TEST(FanoutSinkTest, TeesToEveryTarget) {
   fanout.OnSim(IssueAt(2, 0, 1));
   EXPECT_EQ(a.SimCount(SimEventKind::kIssue), 2u);
   EXPECT_EQ(ring.Events().size(), 2u);
-}
-
-TEST(JsonLinesSinkTest, OneObjectPerLine) {
-  std::ostringstream out;
-  JsonLinesSink sink(out, /*include_host=*/false);
-  sink.OnSim(IssueAt(4, 1, 2));
-  SpanEvent span;
-  span.category = "phase";
-  span.name = "dropped";
-  sink.OnSpan(span);  // host line suppressed
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"type\":\"sim\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"issue\""), std::string::npos);
-  EXPECT_EQ(text.find("dropped"), std::string::npos);
 }
 
 TEST(ChromeTraceSinkTest, RenderIsDeterministicForSimEvents) {

@@ -4,10 +4,11 @@
 //   fgpard --socket PATH [options]
 //
 // Options:
-//   --socket PATH        local stream socket to serve on; a leading '@'
-//                        binds the Linux abstract namespace (no
-//                        filesystem entry), anything else is a
-//                        filesystem socket unlinked on clean shutdown
+//   --socket PATH        address to serve on (support/net grammar): a
+//                        leading '@' binds the Linux abstract namespace
+//                        (no filesystem entry), "tcp:host:port" a TCP
+//                        port, anything else a filesystem socket
+//                        unlinked on clean shutdown
 //   --cache FILE         persist the compile cache here ("fgpar-cache-v1",
 //                        atomic temp+rename per insert; default: none).
 //                        A daemon restarted after kill -9 replays the file
