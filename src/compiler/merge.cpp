@@ -1,7 +1,6 @@
 #include "compiler/merge.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <tuple>
 
@@ -10,12 +9,16 @@
 namespace fgpar::compiler {
 namespace {
 
-/// Working state: live nodes with merged attributes and an edge multiset.
+/// Working state: live nodes with merged attributes and dense node x node
+/// edge-count matrices (row-major, indexed by original node number).
 class Merger {
  public:
   Merger(const CodeGraph& graph, const CompileOptions& options)
-      : options_(options) {
-    nodes_.reserve(graph.nodes.size());
+      : options_(options),
+        n_(graph.nodes.size()),
+        edge_count_(n_ * n_, 0),
+        directed_(n_ * n_, 0) {
+    nodes_.reserve(n_);
     for (const GraphNode& node : graph.nodes) {
       nodes_.push_back(Live{node.stmts, node.cost, node.min_line,
                             node.compute_ops, /*alive=*/true});
@@ -24,8 +27,9 @@ class Merger {
       const int u = graph.NodeOf(edge.producer);
       const int v = graph.NodeOf(edge.consumer);
       if (u != v) {
-        ++edge_count_[{std::min(u, v), std::max(u, v)}];
-        directed_[{u, v}] += 1;
+        ++edge_count_[At(u, v)];
+        ++edge_count_[At(v, u)];
+        ++directed_[At(u, v)];
       }
     }
   }
@@ -56,6 +60,10 @@ class Merger {
     bool alive;
   };
 
+  std::size_t At(int row, int col) const {
+    return static_cast<std::size_t>(row) * n_ + static_cast<std::size_t>(col);
+  }
+
   int AliveCount() const {
     int count = 0;
     for (const Live& node : nodes_) {
@@ -65,8 +73,7 @@ class Merger {
   }
 
   double Affinity(int u, int v) const {
-    const auto it = edge_count_.find({std::min(u, v), std::max(u, v)});
-    const double edges = it == edge_count_.end() ? 0.0 : it->second;
+    const double edges = edge_count_[At(u, v)];
     const double combined_cost = nodes_[static_cast<std::size_t>(u)].cost +
                                  nodes_[static_cast<std::size_t>(v)].cost;
     const double line_dist =
@@ -94,24 +101,17 @@ class Merger {
     // Re-point edges from v to u; edges between u and v vanish ("Any
     // dependence edges that may have existed between the two nodes being
     // merged no longer exist after the merge").
-    std::map<std::pair<int, int>, int> new_undirected;
-    for (const auto& [key, count] : edge_count_) {
-      auto [a, b] = key;
-      if (a == v) a = u;
-      if (b == v) b = u;
-      if (a == b) continue;
-      new_undirected[{std::min(a, b), std::max(a, b)}] += count;
+    for (int k = 0; k < static_cast<int>(n_); ++k) {
+      if (k != u && k != v) {
+        edge_count_[At(u, k)] += edge_count_[At(v, k)];
+        edge_count_[At(k, u)] = edge_count_[At(u, k)];
+        directed_[At(u, k)] += directed_[At(v, k)];
+        directed_[At(k, u)] += directed_[At(k, v)];
+      }
+      edge_count_[At(v, k)] = edge_count_[At(k, v)] = 0;
+      directed_[At(v, k)] = directed_[At(k, v)] = 0;
     }
-    edge_count_ = std::move(new_undirected);
-    std::map<std::pair<int, int>, int> new_directed;
-    for (const auto& [key, count] : directed_) {
-      auto [a, b] = key;
-      if (a == v) a = u;
-      if (b == v) b = u;
-      if (a == b) continue;
-      new_directed[{a, b}] += count;
-    }
-    directed_ = std::move(new_directed);
+    edge_count_[At(u, v)] = edge_count_[At(v, u)] = 0;
   }
 
   /// One merge step: merges up to `max_merges` disjoint best-affinity pairs.
@@ -160,19 +160,20 @@ class Merger {
                        }
                        return std::tie(a.u, a.v) < std::tie(b.u, b.v);
                      });
-    std::set<int> used;
+    std::vector<char> used(n_, 0);
     int merges = 0;
     const int allowed = std::min(max_merges, AliveCount() - options_.num_cores);
     for (const Candidate& c : candidates) {
       if (merges >= allowed) {
         break;
       }
-      if (used.contains(c.u) || used.contains(c.v)) {
+      if (used[static_cast<std::size_t>(c.u)] ||
+          used[static_cast<std::size_t>(c.v)]) {
         continue;
       }
       Merge(c.u, c.v);
-      used.insert(c.u);
-      used.insert(c.v);
+      used[static_cast<std::size_t>(c.u)] = 1;
+      used[static_cast<std::size_t>(c.v)] = 1;
       ++merges;
     }
     return merges > 0;
@@ -190,7 +191,7 @@ class Merger {
             Merge(scc[0], scc[i]);
           }
           merged_any = true;
-          break;  // edge maps changed; recompute SCCs
+          break;  // edge counts changed; recompute SCCs
         }
       }
       if (!merged_any) {
@@ -201,21 +202,18 @@ class Merger {
 
   std::vector<std::vector<int>> FindSccs() const {
     // Iterative Tarjan over alive nodes.
-    std::map<int, std::vector<int>> adj;
-    std::vector<int> alive;
-    for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
-      if (nodes_[static_cast<std::size_t>(i)].alive) {
-        alive.push_back(i);
+    const int n = static_cast<int>(n_);
+    std::vector<std::vector<int>> adj(n_);
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (directed_[At(a, b)] > 0 && nodes_[static_cast<std::size_t>(a)].alive &&
+            nodes_[static_cast<std::size_t>(b)].alive) {
+          adj[static_cast<std::size_t>(a)].push_back(b);
+        }
       }
     }
-    for (const auto& [key, count] : directed_) {
-      if (count > 0 && nodes_[static_cast<std::size_t>(key.first)].alive &&
-          nodes_[static_cast<std::size_t>(key.second)].alive) {
-        adj[key.first].push_back(key.second);
-      }
-    }
-    std::map<int, int> index_of, lowlink;
-    std::set<int> on_stack;
+    std::vector<int> index_of(n_, -1), lowlink(n_, 0);
+    std::vector<char> on_stack(n_, 0);
     std::vector<int> stack;
     std::vector<std::vector<int>> sccs;
     int counter = 0;
@@ -224,34 +222,39 @@ class Merger {
       int node;
       std::size_t child = 0;
     };
-    for (int start : alive) {
-      if (index_of.contains(start)) {
+    const auto visit = [&](int node) {
+      index_of[static_cast<std::size_t>(node)] =
+          lowlink[static_cast<std::size_t>(node)] = counter++;
+      stack.push_back(node);
+      on_stack[static_cast<std::size_t>(node)] = 1;
+    };
+    for (int start = 0; start < n; ++start) {
+      if (!nodes_[static_cast<std::size_t>(start)].alive ||
+          index_of[static_cast<std::size_t>(start)] >= 0) {
         continue;
       }
       std::vector<Frame> frames{{start}};
-      index_of[start] = lowlink[start] = counter++;
-      stack.push_back(start);
-      on_stack.insert(start);
+      visit(start);
       while (!frames.empty()) {
         Frame& frame = frames.back();
-        const auto& edges = adj[frame.node];
+        const std::size_t node = static_cast<std::size_t>(frame.node);
+        const std::vector<int>& edges = adj[node];
         if (frame.child < edges.size()) {
           const int next = edges[frame.child++];
-          if (!index_of.contains(next)) {
-            index_of[next] = lowlink[next] = counter++;
-            stack.push_back(next);
-            on_stack.insert(next);
+          const std::size_t nx = static_cast<std::size_t>(next);
+          if (index_of[nx] < 0) {
+            visit(next);
             frames.push_back(Frame{next});
-          } else if (on_stack.contains(next)) {
-            lowlink[frame.node] = std::min(lowlink[frame.node], index_of[next]);
+          } else if (on_stack[nx]) {
+            lowlink[node] = std::min(lowlink[node], index_of[nx]);
           }
         } else {
-          if (lowlink[frame.node] == index_of[frame.node]) {
+          if (lowlink[node] == index_of[node]) {
             std::vector<int> scc;
             for (;;) {
               const int w = stack.back();
               stack.pop_back();
-              on_stack.erase(w);
+              on_stack[static_cast<std::size_t>(w)] = 0;
               scc.push_back(w);
               if (w == frame.node) {
                 break;
@@ -259,11 +262,11 @@ class Merger {
             }
             sccs.push_back(std::move(scc));
           }
-          const int done = frame.node;
           frames.pop_back();
           if (!frames.empty()) {
-            lowlink[frames.back().node] =
-                std::min(lowlink[frames.back().node], lowlink[done]);
+            const std::size_t parent =
+                static_cast<std::size_t>(frames.back().node);
+            lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
           }
         }
       }
@@ -286,10 +289,94 @@ class Merger {
   }
 
   const CompileOptions& options_;
+  std::size_t n_;  // original node count: the matrices' dimension
   std::vector<Live> nodes_;
-  std::map<std::pair<int, int>, int> edge_count_;  // undirected, for affinity
-  std::map<std::pair<int, int>, int> directed_;    // for the SCC collapse
+  std::vector<int> edge_count_;  // undirected (symmetric), for affinity
+  std::vector<int> directed_;    // producer row -> consumer column, for SCCs
 };
+
+/// The node -> partition map of a partitioning built from whole code-graph
+/// nodes (every candidate is: merges, cuts and refinement move nodes).
+/// Nodes no partition covers map to -1.
+std::vector<int> NodePartition(const CodeGraph& graph,
+                               const std::vector<MergedPartition>& parts) {
+  std::vector<int> node_part(graph.nodes.size(), -1);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (ir::StmtId stmt : parts[p].stmts) {
+      int& part = node_part[static_cast<std::size_t>(graph.NodeOf(stmt))];
+      FGPAR_CHECK_MSG(part < 0 || part == static_cast<int>(p),
+                      "partitioning splits a code-graph node");
+      part = static_cast<int>(p);
+    }
+  }
+  return node_part;
+}
+
+/// PartitionObjective over a node -> partition map, with each partition's
+/// cost supplied by the caller.
+std::tuple<double, int, double> NodeObjective(
+    const CodeGraph& graph, const std::vector<int>& node_part,
+    const std::vector<double>& part_cost, const CompileOptions& options) {
+  const std::size_t num_parts = part_cost.size();
+  // Cross-partition transfers at (producer node, consumer partition)
+  // granularity — one queue transfer per iteration each.  Each one costs
+  // its producer's partition an enqueue and its consumer's a dequeue.
+  std::vector<char> cross(graph.nodes.size() * num_parts, 0);
+  std::vector<char> reach(num_parts * num_parts, 0);
+  std::vector<int> queue_ops(num_parts, 0);
+  int transfers = 0;
+  for (const DepEdge& edge : graph.edges) {
+    const std::size_t producer =
+        static_cast<std::size_t>(graph.NodeOf(edge.producer));
+    const int pu = node_part[producer];
+    const int pv = node_part[static_cast<std::size_t>(graph.NodeOf(edge.consumer))];
+    FGPAR_CHECK_MSG(pu >= 0 && pv >= 0,
+                    "dependence edge leaves the partitioned statements");
+    if (pu != pv) {
+      const std::size_t from = static_cast<std::size_t>(pu);
+      const std::size_t to = static_cast<std::size_t>(pv);
+      char& seen = cross[producer * num_parts + to];
+      if (!seen) {
+        seen = 1;
+        ++transfers;
+        ++queue_ops[from];
+        ++queue_ops[to];
+      }
+      reach[from * num_parts + to] = 1;
+    }
+  }
+  // Transitive closure -> SCCs of the partition digraph.  Every partition
+  // on a dependence cycle pays one full round trip per iteration, because
+  // the in-order core blocks in the dequeue that closes the cycle.
+  for (std::size_t k = 0; k < num_parts; ++k) {
+    for (std::size_t i = 0; i < num_parts; ++i) {
+      if (!reach[i * num_parts + k]) {
+        continue;
+      }
+      for (std::size_t j = 0; j < num_parts; ++j) {
+        reach[i * num_parts + j] |= reach[k * num_parts + j];
+      }
+    }
+  }
+  const double hop = static_cast<double>(options.assumed_transfer_latency) + 1.0;
+
+  double makespan = 0.0;
+  double max_cost = 0.0;
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    int scc_size = 1;
+    for (std::size_t j = 0; j < num_parts; ++j) {
+      if (j != p && reach[p * num_parts + j] && reach[j * num_parts + p]) {
+        ++scc_size;
+      }
+    }
+    const double cycle_penalty =
+        scc_size > 1 ? static_cast<double>(scc_size) * hop : 0.0;
+    makespan = std::max(makespan, part_cost[p] + cycle_penalty +
+                                      static_cast<double>(queue_ops[p]));
+    max_cost = std::max(max_cost, part_cost[p]);
+  }
+  return {makespan, transfers, max_cost};
+}
 
 }  // namespace
 
@@ -303,79 +390,12 @@ class Merger {
 std::tuple<double, int, double> PartitionObjective(
     const CodeGraph& graph, const std::vector<MergedPartition>& parts,
     const CompileOptions& options) {
-  const int num_parts = static_cast<int>(parts.size());
-  std::map<ir::StmtId, int> part_of;
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (ir::StmtId stmt : parts[p].stmts) {
-      part_of[stmt] = static_cast<int>(p);
-    }
+  std::vector<double> part_cost;
+  part_cost.reserve(parts.size());
+  for (const MergedPartition& part : parts) {
+    part_cost.push_back(part.cost);
   }
-  // Cross-partition transfers at (producer node, consumer partition)
-  // granularity — one queue transfer per iteration each.
-  std::set<std::pair<int, int>> node_cross;
-  std::vector<std::vector<bool>> reach(
-      static_cast<std::size_t>(num_parts),
-      std::vector<bool>(static_cast<std::size_t>(num_parts), false));
-  for (const DepEdge& edge : graph.edges) {
-    const int pu = part_of.at(edge.producer);
-    const int pv = part_of.at(edge.consumer);
-    if (pu != pv) {
-      node_cross.insert({graph.NodeOf(edge.producer), pv});
-      reach[static_cast<std::size_t>(pu)][static_cast<std::size_t>(pv)] = true;
-    }
-  }
-  // Transitive closure -> SCCs of the partition digraph.  Every partition
-  // on a dependence cycle pays one full round trip per iteration, because
-  // the in-order core blocks in the dequeue that closes the cycle.
-  for (int k = 0; k < num_parts; ++k) {
-    for (int i = 0; i < num_parts; ++i) {
-      for (int j = 0; j < num_parts; ++j) {
-        reach[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            reach[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] ||
-            (reach[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] &&
-             reach[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]);
-      }
-    }
-  }
-  std::vector<int> scc_size(static_cast<std::size_t>(num_parts), 1);
-  for (int i = 0; i < num_parts; ++i) {
-    int size = 1;
-    for (int j = 0; j < num_parts; ++j) {
-      if (i != j && reach[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] &&
-          reach[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)]) {
-        ++size;
-      }
-    }
-    scc_size[static_cast<std::size_t>(i)] = size;
-  }
-  const double hop = static_cast<double>(options.assumed_transfer_latency) + 1.0;
-
-  double makespan = 0.0;
-  double max_cost = 0.0;
-  for (int p = 0; p < num_parts; ++p) {
-    // Queue-op pipeline occupancy: one cycle per enqueue issued here plus
-    // one per dequeue received here.
-    double queue_ops = 0.0;
-    for (const auto& cross : node_cross) {
-      const int producer_part =
-          part_of.at(graph.nodes[static_cast<std::size_t>(cross.first)]
-                         .stmts.front());
-      if (producer_part == p) {
-        queue_ops += 1.0;
-      }
-      if (cross.second == p) {
-        queue_ops += 1.0;
-      }
-    }
-    const double cycle_penalty =
-        scc_size[static_cast<std::size_t>(p)] > 1
-            ? static_cast<double>(scc_size[static_cast<std::size_t>(p)]) * hop
-            : 0.0;
-    makespan = std::max(makespan, parts[static_cast<std::size_t>(p)].cost +
-                                      cycle_penalty + queue_ops);
-    max_cost = std::max(max_cost, parts[static_cast<std::size_t>(p)].cost);
-  }
-  return {makespan, static_cast<int>(node_cross.size()), max_cost};
+  return NodeObjective(graph, NodePartition(graph, parts), part_cost, options);
 }
 
 namespace {
@@ -386,23 +406,20 @@ namespace {
 std::vector<MergedPartition> TopoSegments(const CodeGraph& graph,
                                           const CompileOptions& options) {
   const int n = static_cast<int>(graph.nodes.size());
-  std::map<int, std::set<int>> succs;
-  std::map<int, int> indegree;
-  for (int i = 0; i < n; ++i) {
-    indegree[i] = 0;
-  }
+  std::vector<std::set<int>> succs(graph.nodes.size());
+  std::vector<int> indegree(graph.nodes.size(), 0);
   for (const DepEdge& edge : graph.edges) {
     const int u = graph.NodeOf(edge.producer);
     const int v = graph.NodeOf(edge.consumer);
-    if (u != v && succs[u].insert(v).second) {
-      ++indegree[v];
+    if (u != v && succs[static_cast<std::size_t>(u)].insert(v).second) {
+      ++indegree[static_cast<std::size_t>(v)];
     }
   }
   // Kahn's algorithm; ties broken by source order (min_line, index).
   std::vector<int> order;
   std::set<std::pair<int, int>> ready;  // (min_line, node)
   for (int i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
+    if (indegree[static_cast<std::size_t>(i)] == 0) {
       ready.insert({graph.nodes[static_cast<std::size_t>(i)].min_line, i});
     }
   }
@@ -410,8 +427,8 @@ std::vector<MergedPartition> TopoSegments(const CodeGraph& graph,
     const int node = ready.begin()->second;
     ready.erase(ready.begin());
     order.push_back(node);
-    for (int next : succs[node]) {
-      if (--indegree[next] == 0) {
+    for (int next : succs[static_cast<std::size_t>(node)]) {
+      if (--indegree[static_cast<std::size_t>(next)] == 0) {
         ready.insert({graph.nodes[static_cast<std::size_t>(next)].min_line, next});
       }
     }
@@ -455,25 +472,24 @@ std::vector<MergedPartition> TopoSegments(const CodeGraph& graph,
 /// dispatch/argument channel from the primary and the live-out/completion
 /// channel back — the Section III-G protocol traffic.
 int ChannelsUsed(const CodeGraph& graph, const std::vector<MergedPartition>& parts) {
-  std::map<ir::StmtId, int> part_of;
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (ir::StmtId stmt : parts[p].stmts) {
-      part_of[stmt] = static_cast<int>(p);
-    }
-  }
-  std::set<std::pair<int, int>> channels;
-  for (std::size_t p = 1; p < parts.size(); ++p) {
-    channels.insert({0, static_cast<int>(p)});  // dispatch + args
-    channels.insert({static_cast<int>(p), 0});  // completion + live-outs
+  const std::vector<int> node_part = NodePartition(graph, parts);
+  const std::size_t num_parts = parts.size();
+  std::vector<char> channel(num_parts * num_parts, 0);
+  for (std::size_t p = 1; p < num_parts; ++p) {
+    channel[p] = 1;              // dispatch + args: primary -> p
+    channel[p * num_parts] = 1;  // completion + live-outs: p -> primary
   }
   for (const DepEdge& edge : graph.edges) {
-    const int pu = part_of.at(edge.producer);
-    const int pv = part_of.at(edge.consumer);
+    const int pu = node_part[static_cast<std::size_t>(graph.NodeOf(edge.producer))];
+    const int pv = node_part[static_cast<std::size_t>(graph.NodeOf(edge.consumer))];
+    FGPAR_CHECK_MSG(pu >= 0 && pv >= 0,
+                    "dependence edge leaves the partitioned statements");
     if (pu != pv) {
-      channels.insert({pu, pv});
+      channel[static_cast<std::size_t>(pu) * num_parts +
+              static_cast<std::size_t>(pv)] = 1;
     }
   }
-  return static_cast<int>(channels.size());
+  return static_cast<int>(std::count(channel.begin(), channel.end(), 1));
 }
 
 std::vector<std::vector<MergedPartition>> EnumerateCandidates(
@@ -508,16 +524,16 @@ std::vector<std::vector<MergedPartition>> EnumerateCandidates(
     // The ablation keeps the paper's exact variant: affinity merge with
     // cycle collapsing, at the requested core count.
     add(RefinePartitions(graph, Merger(graph, options).Run(), options));
-    return candidates;
-  }
-  for (int target = std::min(2, options.num_cores); target <= options.num_cores;
-       ++target) {
-    CompileOptions sub = options;
-    sub.num_cores = target;
-    add(RefinePartitions(graph, Merger(graph, sub).Run(), sub));
-    std::vector<MergedPartition> topo = TopoSegments(graph, sub);
-    if (!topo.empty()) {
-      add(RefinePartitions(graph, std::move(topo), sub));
+  } else {
+    for (int target = std::min(2, options.num_cores);
+         target <= options.num_cores; ++target) {
+      CompileOptions sub = options;
+      sub.num_cores = target;
+      add(RefinePartitions(graph, Merger(graph, sub).Run(), sub));
+      std::vector<MergedPartition> topo = TopoSegments(graph, sub);
+      if (!topo.empty()) {
+        add(RefinePartitions(graph, std::move(topo), sub));
+      }
     }
   }
   if (candidates.empty()) {
@@ -558,99 +574,88 @@ std::vector<MergedPartition> RefinePartitions(const CodeGraph& graph,
     return parts;
   }
   const int num_parts = static_cast<int>(parts.size());
+  const std::size_t n = graph.nodes.size();
 
   // Recover the original (pre-merge) node granularity: fused statements
-  // must move together, so moves operate on graph nodes.
-  std::map<int, int> part_of_node;
-  std::map<int, double> node_cost;
-  std::map<int, int> node_ops;
+  // must move together, so moves operate on graph nodes (-1 = uncovered).
+  std::vector<int> part_of_node(n, -1);
   for (int p = 0; p < num_parts; ++p) {
     for (ir::StmtId stmt : parts[static_cast<std::size_t>(p)].stmts) {
-      part_of_node[graph.NodeOf(stmt)] = p;
+      part_of_node[static_cast<std::size_t>(graph.NodeOf(stmt))] = p;
     }
   }
-  for (int n = 0; n < static_cast<int>(graph.nodes.size()); ++n) {
-    node_cost[n] = graph.nodes[static_cast<std::size_t>(n)].cost;
-    node_ops[n] = graph.nodes[static_cast<std::size_t>(n)].compute_ops;
-  }
-  // Node-level directed dependences.
-  std::set<std::pair<int, int>> node_edges;
+  // Node-level dependence neighbours, either direction.
+  std::vector<std::vector<int>> neighbours(n);
   for (const DepEdge& edge : graph.edges) {
     const int u = graph.NodeOf(edge.producer);
     const int v = graph.NodeOf(edge.consumer);
     if (u != v) {
-      node_edges.insert({u, v});
+      neighbours[static_cast<std::size_t>(u)].push_back(v);
+      neighbours[static_cast<std::size_t>(v)].push_back(u);
     }
   }
 
+  // Per-partition cost, summed in ascending node order.
+  const auto costs_of = [&](const std::vector<int>& assignment) {
+    std::vector<double> cost(static_cast<std::size_t>(num_parts), 0.0);
+    for (std::size_t node = 0; node < n; ++node) {
+      if (assignment[node] >= 0) {
+        cost[static_cast<std::size_t>(assignment[node])] += graph.nodes[node].cost;
+      }
+    }
+    return cost;
+  };
+  std::vector<double> part_cost = costs_of(part_of_node);
   double total_cost = 0.0;
-  std::vector<double> part_cost(static_cast<std::size_t>(num_parts), 0.0);
-  for (const auto& [node, p] : part_of_node) {
-    part_cost[static_cast<std::size_t>(p)] += node_cost[node];
-    total_cost += node_cost[node];
+  for (std::size_t node = 0; node < n; ++node) {
+    if (part_of_node[node] >= 0) {
+      total_cost += graph.nodes[node].cost;
+    }
   }
   const double cost_cap =
       options.balance_cap * total_cost / std::max(1, options.num_cores);
 
   // Objective: estimated per-iteration makespan (see PartitionObjective);
-  // evaluated here on the working node assignment.
+  // evaluated here on the working node assignment.  Costs are re-summed
+  // from scratch (not taken from the running part_cost) so every
+  // evaluation adds in the same order a rebuilt partitioning would.
   auto evaluate = [&]() {
-    std::vector<MergedPartition> snapshot(static_cast<std::size_t>(num_parts));
-    for (const auto& [node, p] : part_of_node) {
-      const GraphNode& gn = graph.nodes[static_cast<std::size_t>(node)];
-      MergedPartition& part = snapshot[static_cast<std::size_t>(p)];
-      part.stmts.insert(part.stmts.end(), gn.stmts.begin(), gn.stmts.end());
-      part.cost += gn.cost;
-      part.compute_ops += gn.compute_ops;
-    }
-    std::erase_if(snapshot,
-                  [](const MergedPartition& p) { return p.stmts.empty(); });
-    return PartitionObjective(graph, snapshot, options);
-  };
-
-  auto count_nodes_in = [&](int p) {
-    int count = 0;
-    for (const auto& [node, part] : part_of_node) {
-      (void)node;
-      count += part == p ? 1 : 0;
-    }
-    return count;
+    return NodeObjective(graph, part_of_node, costs_of(part_of_node), options);
   };
 
   for (int round = 0; round < 40; ++round) {
     const auto baseline = evaluate();
     bool improved = false;
     // Candidate moves: any node with a cross-partition edge.
-    for (const auto& [node, from] : std::map<int, int>(part_of_node)) {
-      bool boundary = false;
-      for (const auto& edge : node_edges) {
-        if ((edge.first == node && part_of_node.at(edge.second) != from) ||
-            (edge.second == node && part_of_node.at(edge.first) != from)) {
-          boundary = true;
-          break;
-        }
-      }
-      if (!boundary || count_nodes_in(from) <= 1) {
+    for (std::size_t node = 0; node < n && !improved; ++node) {
+      const int from = part_of_node[node];
+      if (from < 0) {
         continue;
       }
+      const bool boundary = std::any_of(
+          neighbours[node].begin(), neighbours[node].end(), [&](int other) {
+            return part_of_node[static_cast<std::size_t>(other)] != from;
+          });
+      if (!boundary || std::count(part_of_node.begin(), part_of_node.end(),
+                                  from) <= 1) {
+        continue;
+      }
+      const double node_cost = graph.nodes[node].cost;
       for (int to = 0; to < num_parts; ++to) {
         if (to == from ||
-            part_cost[static_cast<std::size_t>(to)] + node_cost[node] > cost_cap) {
+            part_cost[static_cast<std::size_t>(to)] + node_cost > cost_cap) {
           continue;
         }
         part_of_node[node] = to;
-        part_cost[static_cast<std::size_t>(from)] -= node_cost[node];
-        part_cost[static_cast<std::size_t>(to)] += node_cost[node];
+        part_cost[static_cast<std::size_t>(from)] -= node_cost;
+        part_cost[static_cast<std::size_t>(to)] += node_cost;
         if (evaluate() < baseline) {
           improved = true;
           break;  // keep the move
         }
         part_of_node[node] = from;  // revert
-        part_cost[static_cast<std::size_t>(from)] += node_cost[node];
-        part_cost[static_cast<std::size_t>(to)] -= node_cost[node];
-      }
-      if (improved) {
-        break;
+        part_cost[static_cast<std::size_t>(from)] += node_cost;
+        part_cost[static_cast<std::size_t>(to)] -= node_cost;
       }
     }
     if (!improved) {
@@ -660,9 +665,12 @@ std::vector<MergedPartition> RefinePartitions(const CodeGraph& graph,
 
   // Rebuild partitions from the refined assignment.
   std::vector<MergedPartition> out(static_cast<std::size_t>(num_parts));
-  for (const auto& [node, p] : part_of_node) {
-    MergedPartition& part = out[static_cast<std::size_t>(p)];
-    const GraphNode& gn = graph.nodes[static_cast<std::size_t>(node)];
+  for (std::size_t node = 0; node < n; ++node) {
+    if (part_of_node[node] < 0) {
+      continue;
+    }
+    MergedPartition& part = out[static_cast<std::size_t>(part_of_node[node])];
+    const GraphNode& gn = graph.nodes[node];
     part.stmts.insert(part.stmts.end(), gn.stmts.begin(), gn.stmts.end());
     part.cost += gn.cost;
     part.compute_ops += gn.compute_ops;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "harness/supervisor.hpp"
 #include "model/analytic.hpp"
@@ -97,26 +99,52 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
       static_cast<std::size_t>(default_it - points.begin());
   result.enumerated = points.size();
 
-  KernelRunner runner(kernel, init);
   RunConfig base;
   base.seed = options.seed;
   base.verify = options.verify;
   base.collect_profile = true;
   base.tune_by_simulation = false;  // static selection, same as the predictor
 
+  // ---- the tune session: everything the points share, computed once ----
+  KernelRunner runner(kernel, init);
+  KernelSession::Uses uses;
+  uses.run = true;
+  for (const TunePoint& point : points) {
+    if (std::find(uses.predict_speculation.begin(),
+                  uses.predict_speculation.end(),
+                  point.speculation) == uses.predict_speculation.end()) {
+      uses.predict_speculation.push_back(point.speculation);
+    }
+  }
+  const KernelSession session(runner, base, uses);
+
   // ---- predict every point (compile front half only) ----
+  // Queue capacity never reaches the predictor, so each distinct
+  // (cores, merge shape, speculation) is predicted once and its record is
+  // shared by the points that differ only in capacity.
+  std::map<std::tuple<int, int, bool>, std::size_t> predicted;
   result.candidates.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     TuneCandidate candidate;
     candidate.index = i;
     candidate.point = points[i];
-    try {
-      const model::Prediction prediction =
-          runner.Predict(ApplyTunePoint(base, points[i]));
-      candidate.feasible = true;
-      candidate.predicted_speedup = prediction.speedup;
-    } catch (const Error& e) {
-      candidate.note = e.what();
+    const auto [it, fresh] = predicted.try_emplace(
+        std::make_tuple(points[i].cores, points[i].merge,
+                        points[i].speculation),
+        i);
+    if (!fresh) {
+      const TuneCandidate& twin = result.candidates[it->second];
+      candidate.feasible = twin.feasible;
+      candidate.predicted_speedup = twin.predicted_speedup;
+      candidate.note = twin.note;
+    } else {
+      try {
+        candidate.predicted_speedup =
+            session.Predict(ApplyTunePoint(base, points[i])).speedup;
+        candidate.feasible = true;
+      } catch (const Error& e) {
+        candidate.note = e.what();
+      }
     }
     result.candidates.push_back(std::move(candidate));
   }
@@ -174,7 +202,10 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
     RunConfig config = ApplyTunePoint(base, points[frontier[ctx.index]]);
     config.seed = ctx.seed;
     config.max_cycles = ctx.cycle_budget;
-    return EncodeKernelRun(runner.Run(config));
+    // A supervisor retry reseeds the workload the session was built on,
+    // so it runs on a one-shot session of its own.
+    return EncodeKernelRun(config.seed == base.seed ? session.Run(config)
+                                                    : runner.Run(config));
   });
   for (std::size_t local = 0; local < frontier.size(); ++local) {
     TuneCandidate& candidate = result.candidates[frontier[local]];

@@ -137,8 +137,9 @@ void KernelRunner::CompareMemory(const sim::Machine& machine,
   }
 }
 
-std::uint64_t KernelRunner::MeasureSequential(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
+KernelRunner::SequentialRun KernelRunner::RunSequential(
+    const RunConfig& config, const Prepared& prepared,
+    const std::vector<std::uint64_t>* golden) const {
   const isa::Program program =
       compiler::CompileSequential(kernel_, layout_, config.compile);
   sim::Machine machine(MachineConfigFor(config, 1), program);
@@ -146,10 +147,19 @@ std::uint64_t KernelRunner::MeasureSequential(const RunConfig& config) const {
   machine.StartCoreAt(0, "main");
   const sim::RunResult result =
       RunBounded(machine, config.max_cycles, kernel_.name(), "sequential execution");
-  if (config.verify) {
-    CompareMemory(machine, GoldenMemory(prepared), "sequential codegen");
+  if (golden != nullptr) {
+    CompareMemory(machine, *golden, "sequential codegen");
   }
-  return result.core0_halt_cycle;
+  return SequentialRun{result.core0_halt_cycle, result.instructions,
+                       machine.threaded_stats()};
+}
+
+std::uint64_t KernelRunner::MeasureSequential(const RunConfig& config) const {
+  const Prepared prepared = Prepare(config);
+  const std::vector<std::uint64_t> golden =
+      config.verify ? GoldenMemory(prepared) : std::vector<std::uint64_t>{};
+  return RunSequential(config, prepared, config.verify ? &golden : nullptr)
+      .cycles;
 }
 
 analysis::ProfileData KernelRunner::CollectProfile(const RunConfig& config) const {
@@ -159,55 +169,116 @@ analysis::ProfileData KernelRunner::CollectProfile(const RunConfig& config) cons
 }
 
 model::Prediction KernelRunner::Predict(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  compiler::CompileOptions options = config.compile;
-  // Mirror Run: the compile must assume the queues it will execute on.
-  options.assumed_queue_capacity = config.queue.capacity;
-  analysis::ProfileData profile;
-  if (config.collect_profile) {
-    profile = analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
-                                             prepared.image, config.cache);
-  }
-  return model::PredictKernelOnWorkload(
-      kernel_, options, config.collect_profile ? &profile : nullptr, layout_,
-      prepared.params, prepared.image, config.cache);
+  KernelSession::Uses uses;
+  uses.predict_speculation = {config.compile.speculation};
+  return KernelSession(*this, config, uses).Predict(config);
 }
 
 KernelRun KernelRunner::Run(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  const std::vector<std::uint64_t> golden = GoldenMemory(prepared);
+  KernelSession::Uses uses;
+  uses.run = true;
+  return KernelSession(*this, config, uses).Run(config);
+}
 
-  // ---- profile feedback (Section III-I.3) ----
-  analysis::ProfileData profile;
-  if (config.collect_profile) {
-    profile = analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
-                                             prepared.image, config.cache);
+template <typename T>
+const T& KernelSession::Shared<T>::Get() const {
+  if (error_) {
+    std::rethrow_exception(error_);
   }
+  FGPAR_CHECK_MSG(value_.has_value(),
+                  "the session was not prepared for this use");
+  return *value_;
+}
+
+KernelSession::KernelSession(const KernelRunner& runner, const RunConfig& base,
+                             const Uses& uses)
+    : runner_(runner), base_(base) {
+  // Each result is computed in the order a one-shot Run/Predict computes
+  // it, and reads its inputs through Get(), so an upstream error becomes
+  // the error of everything downstream of it.
+  prepared_.Set([&] { return runner_.Prepare(base_); });
+  if (uses.run) {
+    golden_.Set([&] { return runner_.GoldenMemory(prepared_.Get()); });
+  }
+  if (base_.collect_profile) {
+    profile_.Set([&] {
+      const KernelRunner::Prepared& prepared = prepared_.Get();
+      return analysis::ProfileData::Collect(runner_.kernel_, runner_.layout_,
+                                            prepared.params, prepared.image,
+                                            base_.cache);
+    });
+  }
+  if (uses.run) {
+    sequential_.Set([&] {
+      const KernelRunner::Prepared& prepared = prepared_.Get();
+      const std::vector<std::uint64_t>& golden = golden_.Get();
+      return runner_.RunSequential(base_, prepared,
+                                   base_.verify ? &golden : nullptr);
+    });
+  }
+  if (!uses.predict_speculation.empty()) {
+    predictor_.Set([&] {
+      const KernelRunner::Prepared& prepared = prepared_.Get();
+      return model::WorkloadPredictor(
+          runner_.kernel_, base_.compile, Profile(), runner_.layout_,
+          prepared.params, prepared.image, base_.cache,
+          uses.predict_speculation);
+    });
+  }
+}
+
+const analysis::ProfileData* KernelSession::Profile() const {
+  return base_.collect_profile ? &profile_.Get() : nullptr;
+}
+
+void KernelSession::CheckAgrees(const RunConfig& config) const {
+  const auto check = [](bool same, const char* field) {
+    FGPAR_CHECK_MSG(same, std::string("run config disagrees with its "
+                                      "kernel session on ") +
+                              field);
+  };
+  check(config.seed == base_.seed, "seed");
+  check(config.cache == base_.cache, "cache");
+  check(config.timing == base_.timing, "timing");
+  check(config.compile.max_expr_depth == base_.compile.max_expr_depth,
+        "max_expr_depth");
+  check(config.compile.use_profile == base_.compile.use_profile,
+        "use_profile");
+  check(config.collect_profile == base_.collect_profile, "collect_profile");
+  check(config.verify == base_.verify, "verify");
+  check(config.max_cycles == base_.max_cycles, "max_cycles");
+  check(config.force_tier == base_.force_tier, "force_tier");
+  check(config.force_slow_path == base_.force_slow_path, "force_slow_path");
+  check(config.stall_watchdog_cycles == base_.stall_watchdog_cycles,
+        "stall_watchdog_cycles");
+}
+
+model::Prediction KernelSession::Predict(const RunConfig& config) const {
+  CheckAgrees(config);
+  prepared_.Get();  // a shared error surfaces in a one-shot Predict's order
+  Profile();
+  return predictor_.Get().Predict(config.compile);
+}
+
+KernelRun KernelSession::Run(const RunConfig& config) const {
+  CheckAgrees(config);
+  const KernelRunner::Prepared& prepared = prepared_.Get();
+  const std::vector<std::uint64_t>& golden = golden_.Get();
+  const analysis::ProfileData* profile = Profile();
+  const KernelRunner::SequentialRun& sequential = sequential_.Get();
+  const ir::Kernel& kernel = runner_.kernel_;
+  const ir::DataLayout& layout = runner_.layout_;
 
   KernelRun run;
-  run.kernel_name = kernel_.name();
+  run.kernel_name = kernel.name();
+  run.seq_cycles = sequential.cycles;
+  run.seq_instructions = sequential.instructions;
+  run.threaded_stats += sequential.threaded_stats;
 
   // The static capacity-deadlock checker must reason about the queues the
   // code will actually run on.
   compiler::CompileOptions compile_options = config.compile;
   compile_options.assumed_queue_capacity = config.queue.capacity;
-
-  // ---- sequential baseline ----
-  {
-    const isa::Program program =
-        compiler::CompileSequential(kernel_, layout_, compile_options);
-    sim::Machine machine(MachineConfigFor(config, 1), program);
-    LoadImage(machine, prepared.image);
-    machine.StartCoreAt(0, "main");
-    const sim::RunResult result =
-        RunBounded(machine, config.max_cycles, kernel_.name(), "sequential execution");
-    if (config.verify) {
-      CompareMemory(machine, golden, "sequential codegen");
-    }
-    run.seq_cycles = result.core0_halt_cycle;
-    run.seq_instructions = result.instructions;
-    run.threaded_stats += machine.threaded_stats();
-  }
 
   // ---- fine-grained parallel ----
   {
@@ -221,8 +292,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       // is always fault-free: it ranks candidates, it does not stress them.
       RunConfig training = config;
       training.queue.transfer_latency = config.compile.assumed_transfer_latency;
-      sim::Machine machine(MachineConfigFor(training, cores), program);
-      LoadImage(machine, prepared.image);
+      sim::Machine machine(runner_.MachineConfigFor(training, cores), program);
+      runner_.LoadImage(machine, prepared.image);
       machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
       for (int c = 1; c < cores; ++c) {
         machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
@@ -234,8 +305,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     compiler::PipelineInstrumentation compile_instrumentation;
     compile_instrumentation.telemetry = config.telemetry;
     const compiler::CompiledParallel compiled = compiler::CompileParallel(
-        kernel_, layout_, compile_options,
-        config.collect_profile ? &profile : nullptr,
+        kernel, layout, compile_options, profile,
         config.tune_by_simulation ? &evaluator : nullptr,
         config.telemetry != nullptr ? &compile_instrumentation : nullptr,
         config.cost_model);
@@ -259,7 +329,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     bool parallel_ok = false;
     std::exception_ptr last_failure;
     for (int attempt = 0; attempt < attempts && !parallel_ok; ++attempt) {
-      sim::MachineConfig mc = MachineConfigFor(config, compiled.cores_used);
+      sim::MachineConfig mc =
+          runner_.MachineConfigFor(config, compiled.cores_used);
       if (faults_on) {
         mc.faults = config.faults;
         mc.faults.seed =
@@ -267,7 +338,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
                     static_cast<std::uint64_t>(attempt));
       }
       sim::Machine machine(mc, compiled.program);
-      LoadImage(machine, prepared.image);
+      runner_.LoadImage(machine, prepared.image);
       machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
       for (int c = 1; c < compiled.cores_used; ++c) {
         machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
@@ -297,14 +368,15 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       };
       try {
         const sim::RunResult result = RunBounded(
-            machine, config.max_cycles, kernel_.name(), "parallel execution");
+            machine, config.max_cycles, kernel.name(), "parallel execution");
         // Under injected faults, verify even when config.verify is off: a
         // silently corrupted result must trigger retry/fallback, never be
         // reported as a speedup.
         if (config.verify || faults_on) {
-          CompareMemory(machine, golden,
-                        "parallel codegen (" +
-                            std::to_string(compiled.cores_used) + " cores)");
+          runner_.CompareMemory(
+              machine, golden,
+              "parallel codegen (" + std::to_string(compiled.cores_used) +
+                  " cores)");
         }
         run.par_cycles = result.core0_halt_cycle;
         run.par_instructions = result.instructions;
@@ -358,7 +430,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     if (config.backend == compiler::BackendKind::kNative) {
       telemetry::ScopedSpan span(config.telemetry, "native", "native.run");
       const std::vector<std::uint64_t> params_raw =
-          native::RawParams(kernel_, prepared.params);
+          native::RawParams(kernel, prepared.params);
       const std::size_t ring_capacity =
           config.queue.capacity > 0
               ? static_cast<std::size_t>(config.queue.capacity)
@@ -366,15 +438,15 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
       std::vector<std::uint64_t> seq_memory = prepared.image;
       const native::NativeRunStats seq_stats = native::ExecuteNative(
-          {&kernel_, &layout_, nullptr}, params_raw, seq_memory);
-      CompareNativeMemory(seq_memory, golden, kernel_.name(),
+          {&kernel, &layout, nullptr}, params_raw, seq_memory);
+      CompareNativeMemory(seq_memory, golden, kernel.name(),
                           "native sequential execution");
 
       std::vector<std::uint64_t> par_memory = prepared.image;
       const native::NativeRunStats par_stats =
           native::ExecuteNative(compiled.lowered(), params_raw, par_memory,
                                 ring_capacity);
-      CompareNativeMemory(par_memory, golden, kernel_.name(),
+      CompareNativeMemory(par_memory, golden, kernel.name(),
                           "native parallel execution (" +
                               std::to_string(par_stats.cores) + " threads)");
 

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -212,6 +214,8 @@ struct KernelRun {
 /// max_queue_occupancy).
 telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run);
 
+class KernelSession;
+
 class KernelRunner {
  public:
   KernelRunner(const ir::Kernel& kernel, WorkloadInit init);
@@ -219,6 +223,7 @@ class KernelRunner {
   /// Runs the full pipeline for `config`.  Throws on golden/sequential
   /// mismatches and compile errors; parallel-execution failures follow
   /// config.fallback (by default they degrade to sequential, never throw).
+  /// Builds a one-shot KernelSession and runs it.
   KernelRun Run(const RunConfig& config) const;
 
   /// Sequential-only measurement (golden-checked).
@@ -234,20 +239,32 @@ class KernelRunner {
   /// Reproduces the candidate a compile under `config` would select
   /// (rewrite front half + static merge over the same profile feedback),
   /// then costs it at execution granularity against the prepared workload
-  /// (model::PredictKernelOnWorkload).  The autotuner ranks its search
-  /// space with this; the predictor cross-validation bench scores it.
+  /// (model::WorkloadPredictor).  The autotuner ranks its search space
+  /// with this; the predictor cross-validation bench scores it.  Builds a
+  /// one-shot KernelSession and predicts with it.
   model::Prediction Predict(const RunConfig& config) const;
 
   const ir::Kernel& kernel() const { return kernel_; }
   const ir::DataLayout& layout() const { return layout_; }
 
  private:
+  friend class KernelSession;
+
   struct Prepared {
     ir::ParamEnv params;
     std::vector<std::uint64_t> image;  // initial memory incl. param block
   };
+  struct SequentialRun {
+    std::uint64_t cycles = 0;  // core 0's halt cycle
+    std::uint64_t instructions = 0;
+    sim::ThreadedStats threaded_stats;
+  };
   Prepared Prepare(const RunConfig& config) const;
   std::vector<std::uint64_t> GoldenMemory(const Prepared& prepared) const;
+  /// Compiles and simulates the sequential program; checks its memory
+  /// against `golden` unless that is null.
+  SequentialRun RunSequential(const RunConfig& config, const Prepared& prepared,
+                              const std::vector<std::uint64_t>* golden) const;
   sim::MachineConfig MachineConfigFor(const RunConfig& config, int cores) const;
   void LoadImage(sim::Machine& machine, const std::vector<std::uint64_t>& image) const;
   void CompareMemory(const sim::Machine& machine,
@@ -257,6 +274,74 @@ class KernelRunner {
   ir::Kernel kernel_;
   ir::DataLayout layout_;
   WorkloadInit init_;
+};
+
+/// The work Run and Predict share across configurations, done once: the
+/// prepared workload, the golden memory, the profile feedback, the
+/// verified sequential compile + simulation, and the analytic predictor's
+/// per-speculation rewrites and sequential cost (docs/INTERNALS.md, "The
+/// tune session").  AutotuneKernel builds one per call, before its
+/// frontier fan-out, and every prediction and frontier run reads it;
+/// KernelRunner::Run/Predict build a one-shot session per call.  A session
+/// is read-only after construction (supervisor threads share it) and must
+/// not outlive its runner.
+class KernelSession {
+ public:
+  /// Which shared results to prepare.
+  struct Uses {
+    bool run = false;  // golden memory + the verified sequential baseline
+    /// Speculation values Predict must serve (empty: no predictions).
+    std::vector<bool> predict_speculation;
+  };
+
+  /// Computes the shared results `uses` asks for under `base`.  An error
+  /// one of them raises is kept and rethrown by every Run/Predict that
+  /// reads it, where a one-shot call would have raised it.
+  KernelSession(const KernelRunner& runner, const RunConfig& base,
+                const Uses& uses);
+
+  /// KernelRunner::Run for `config`, over the shared results.  `config`
+  /// may differ from the session's base only in what the shared results
+  /// do not read; a disagreement on seed, cache, timing, max_expr_depth,
+  /// use_profile, collect_profile, verify, max_cycles, tier, slow-path or
+  /// watchdog setting is a checked error, never a silent recompute.
+  KernelRun Run(const RunConfig& config) const;
+
+  /// KernelRunner::Predict for `config`, over the shared results; the same
+  /// agreement rule as Run.  Queue capacity is free: nothing on the
+  /// prediction path reads it.
+  model::Prediction Predict(const RunConfig& config) const;
+
+ private:
+  /// A result computed once, or the error computing it raised.
+  template <typename T>
+  class Shared {
+   public:
+    template <typename Compute>
+    void Set(Compute&& compute) {
+      try {
+        value_.emplace(compute());
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+    }
+    const T& Get() const;
+
+   private:
+    std::optional<T> value_;
+    std::exception_ptr error_;
+  };
+
+  void CheckAgrees(const RunConfig& config) const;
+  const analysis::ProfileData* Profile() const;
+
+  const KernelRunner& runner_;
+  RunConfig base_;
+  Shared<KernelRunner::Prepared> prepared_;
+  Shared<std::vector<std::uint64_t>> golden_;
+  Shared<analysis::ProfileData> profile_;
+  Shared<KernelRunner::SequentialRun> sequential_;
+  Shared<model::WorkloadPredictor> predictor_;
 };
 
 }  // namespace fgpar::harness

@@ -68,10 +68,13 @@ Prediction PredictFromFeatures(const analysis::PartitionFeatures& features,
 analysis::PartitionGraph BuildPartitionGraph(
     const compiler::CodeGraph& graph,
     const std::vector<compiler::MergedPartition>& partitions) {
-  std::map<ir::StmtId, int> part_of;
+  std::vector<int> part_of;  // by statement id; -1 = in no partition
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     for (ir::StmtId stmt : partitions[p].stmts) {
-      part_of[stmt] = static_cast<int>(p);
+      if (static_cast<std::size_t>(stmt) >= part_of.size()) {
+        part_of.resize(static_cast<std::size_t>(stmt) + 1, -1);
+      }
+      part_of[static_cast<std::size_t>(stmt)] = static_cast<int>(p);
     }
   }
   analysis::PartitionGraph out;
@@ -80,10 +83,10 @@ analysis::PartitionGraph BuildPartitionGraph(
   for (const compiler::GraphNode& node : graph.nodes) {
     out.node_cost.push_back(node.cost);
     FGPAR_CHECK_MSG(!node.stmts.empty(), "code-graph node with no statements");
-    const auto it = part_of.find(node.stmts.front());
-    FGPAR_CHECK_MSG(it != part_of.end(),
+    const std::size_t front = static_cast<std::size_t>(node.stmts.front());
+    FGPAR_CHECK_MSG(front < part_of.size() && part_of[front] >= 0,
                     "code-graph node not covered by the candidate partitioning");
-    out.node_part.push_back(it->second);
+    out.node_part.push_back(part_of[front]);
   }
   for (const compiler::DepEdge& edge : graph.edges) {
     const int u = graph.NodeOf(edge.producer);
@@ -118,77 +121,112 @@ Prediction PredictKernel(const ir::Kernel& kernel,
   return PredictCandidate(graph, chosen, AnalyticParams::FromOptions(options));
 }
 
-Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
-                                   const compiler::CompileOptions& options,
-                                   const analysis::ProfileData* merge_profile,
-                                   const ir::DataLayout& layout,
-                                   const ir::ParamEnv& params,
-                                   const std::vector<std::uint64_t>& image,
-                                   const sim::CacheConfig& cache) {
-  // The candidate the compile will pick: same rewrite front half, same
-  // static merge, trained on the same profile the compiler trains on.
-  compiler::PartitionResult rewritten(kernel);
-  compiler::ApplyRewritePasses(rewritten, options);
-  const analysis::KernelIndex index(rewritten.kernel);
-  const sim::CoreTiming timing{};
-  const analysis::CostModel merge_cost(
-      timing, cache, options.use_profile ? merge_profile : nullptr);
-  const compiler::CodeGraph graph = compiler::BuildCodeGraph(index, merge_cost);
-  const std::vector<compiler::MergedPartition> chosen =
-      compiler::MergeGraph(graph, options);
-
-  // Execution profile at per-statement granularity of the code that
-  // actually runs (the rewritten kernel: dead statements are gone on both
-  // sides — the sequential pipeline applies the same scalar rewrites).
-  const analysis::ProfileData par_profile = analysis::ProfileData::Collect(
-      rewritten.kernel, layout, params, image, cache);
-  const analysis::CostModel par_cost(timing, cache, &par_profile);
-
-  // Re-cost the graph nodes at execution granularity — frequency-weighted,
-  // so rarely-taken conditional arms charge their taken fraction — before
-  // extracting the feature vector the steady-state bounds come from.
-  analysis::PartitionGraph view = BuildPartitionGraph(graph, chosen);
-  for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
-    double occupancy = 0.0;
-    for (ir::StmtId id : graph.nodes[n].stmts) {
-      const ir::Stmt& stmt = *index.ByStmtId(id).stmt;
-      occupancy += par_profile.StmtFrequency(id) *
-                   par_cost.StmtOccupancy(rewritten.kernel, stmt);
-    }
-    view.node_cost[n] = occupancy;
+WorkloadPredictor::WorkloadPredictor(
+    const ir::Kernel& kernel, const compiler::CompileOptions& options,
+    const analysis::ProfileData* merge_profile, const ir::DataLayout& layout,
+    const ir::ParamEnv& params, const std::vector<std::uint64_t>& image,
+    const sim::CacheConfig& cache, const std::vector<bool>& speculation)
+    : max_expr_depth_(options.max_expr_depth),
+      use_profile_(options.use_profile) {
+  for (const bool spec : speculation) {
+    rewrites_[spec ? 1 : 0].emplace();
   }
+  const sim::CoreTiming timing{};
+  for (const bool spec : {false, true}) {
+    std::optional<Rewrite>& rewrite = rewrites_[spec ? 1 : 0];
+    if (spec && !rewrite.has_value()) {
+      continue;  // the speculation-free rewrite always serves the baseline
+    }
+    try {
+      // The rewrite front half reads only speculation and max_expr_depth,
+      // so one rewrite serves every point with this speculation value.
+      compiler::CompileOptions rewrite_options = options;
+      rewrite_options.speculation = spec;
+      compiler::PartitionResult rewritten(kernel);
+      compiler::ApplyRewritePasses(rewritten, rewrite_options);
+      const analysis::KernelIndex index(rewritten.kernel);
+      // Execution profile at per-statement granularity of the code that
+      // actually runs (the rewritten kernel: dead statements are gone on
+      // both sides — the sequential pipeline applies the same scalar
+      // rewrites).
+      const analysis::ProfileData profile = analysis::ProfileData::Collect(
+          rewritten.kernel, layout, params, image, cache);
+      const analysis::CostModel exec_cost(timing, cache, &profile);
+      if (rewrite.has_value()) {
+        // The candidate the compile will pick is merged over this graph,
+        // trained on the same profile the compiler trains on.
+        const analysis::CostModel merge_cost(
+            timing, cache, options.use_profile ? merge_profile : nullptr);
+        rewrite->graph = compiler::BuildCodeGraph(index, merge_cost);
+        // Execution-granularity node costs — frequency-weighted, so
+        // rarely-taken conditional arms charge their taken fraction.
+        for (const compiler::GraphNode& node : rewrite->graph.nodes) {
+          double occupancy = 0.0;
+          for (ir::StmtId id : node.stmts) {
+            occupancy += profile.StmtFrequency(id) *
+                         exec_cost.StmtOccupancy(rewritten.kernel,
+                                                 *index.ByStmtId(id).stmt);
+          }
+          rewrite->node_occupancy.push_back(occupancy);
+        }
+      }
+      if (!spec) {
+        // Sequential baseline: the same live statements on one core, with
+        // one cache serving every access.
+        const std::function<double(const std::vector<ir::Stmt>&)>
+            body_occupancy = [&](const std::vector<ir::Stmt>& body) {
+              double total = 0.0;
+              for (const ir::Stmt& stmt : body) {
+                total += profile.StmtFrequency(stmt.id) *
+                         exec_cost.StmtOccupancy(rewritten.kernel, stmt);
+                if (stmt.kind == ir::StmtKind::kIf) {
+                  total += body_occupancy(stmt.then_body);
+                  total += body_occupancy(stmt.else_body);
+                }
+              }
+              return total;
+            };
+        sequential_occupancy_ = body_occupancy(rewritten.kernel.loop().body);
+      }
+    } catch (const Error&) {
+      if (rewrite.has_value()) {
+        rewrite->error = std::current_exception();
+      }
+      if (!spec) {
+        sequential_error_ = std::current_exception();
+      }
+    }
+  }
+}
+
+Prediction WorkloadPredictor::Predict(
+    const compiler::CompileOptions& options) const {
+  FGPAR_CHECK_MSG(options.max_expr_depth == max_expr_depth_ &&
+                      options.use_profile == use_profile_,
+                  "prediction options disagree with the predictor's rewrite");
+  const std::optional<Rewrite>& rewrite =
+      rewrites_[options.speculation ? 1 : 0];
+  FGPAR_CHECK_MSG(rewrite.has_value(),
+                  "predictor was not prepared for this speculation value");
+  if (rewrite->error) {
+    std::rethrow_exception(rewrite->error);
+  }
+  const std::vector<compiler::MergedPartition> chosen =
+      compiler::MergeGraph(rewrite->graph, options);
+  if (sequential_error_) {
+    std::rethrow_exception(sequential_error_);
+  }
+  // Cost the chosen candidate at execution granularity before extracting
+  // the feature vector the steady-state bounds come from.
+  analysis::PartitionGraph view = BuildPartitionGraph(rewrite->graph, chosen);
+  view.node_cost = rewrite->node_occupancy;
 
   const AnalyticParams exec = AnalyticParams::ExecFromOptions(options);
   const analysis::PartitionFeatures features =
       analysis::ExtractPartitionFeatures(view, exec.transfer_latency,
                                          exec.queue_op_cost);
   Prediction prediction = PredictFromFeatures(features, exec);
-
-  // Sequential baseline: the same live statements on one core, under a
-  // speculation-free rewrite (sequential code never executes both arms)
-  // with its own execution profile — one cache serving every access.
-  compiler::CompileOptions seq_options = options;
-  seq_options.speculation = false;
-  compiler::PartitionResult seq_rewritten(kernel);
-  compiler::ApplyRewritePasses(seq_rewritten, seq_options);
-  const analysis::ProfileData seq_profile = analysis::ProfileData::Collect(
-      seq_rewritten.kernel, layout, params, image, cache);
-  const analysis::CostModel seq_cost(timing, cache, &seq_profile);
-  const std::function<double(const std::vector<ir::Stmt>&)> body_occupancy =
-      [&](const std::vector<ir::Stmt>& body) {
-        double total = 0.0;
-        for (const ir::Stmt& stmt : body) {
-          total += seq_profile.StmtFrequency(stmt.id) *
-                   seq_cost.StmtOccupancy(seq_rewritten.kernel, stmt);
-          if (stmt.kind == ir::StmtKind::kIf) {
-            total += body_occupancy(stmt.then_body);
-            total += body_occupancy(stmt.else_body);
-          }
-        }
-        return total;
-      };
-  prediction.sequential_cost =
-      body_occupancy(seq_rewritten.kernel.loop().body) + exec.loop_overhead;
+  prediction.sequential_cost = sequential_occupancy_ + exec.loop_overhead;
   if (features.partitions > 1 && prediction.parallel_cost > 0.0) {
     prediction.speedup =
         prediction.sequential_cost / prediction.parallel_cost;

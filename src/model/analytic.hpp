@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <vector>
 
@@ -93,29 +94,59 @@ Prediction PredictKernel(const ir::Kernel& kernel,
                          const analysis::ProfileData* profile);
 
 /// Workload-grounded whole-kernel prediction — the accurate variant the
-/// autotuner and the cross-validation bench use.  Picks the identical
-/// candidate PredictKernel picks (same rewrite + static merge trained on
-/// `merge_profile`, the original-kernel per-symbol profile a compile
-/// feeds its heuristics), but costs it at execution granularity:
+/// autotuner and the cross-validation bench use (through
+/// harness::KernelRunner).  Picks the identical candidate PredictKernel
+/// picks (same rewrite + static merge trained on `merge_profile`, the
+/// original-kernel per-symbol profile a compile feeds its heuristics), but
+/// costs it at execution granularity:
 ///
 ///   * node costs come from analysis::CostModel::StmtOccupancy — issue
-///     cycles included — with loads resolved against a fresh per-statement
+///     cycles included — with loads resolved against a per-statement
 ///     profile of the REWRITTEN kernel, so dead code the pipeline removed
 ///     does not inflate (or warm the cache for) the parallel side;
-///   * the sequential baseline is the original kernel's per-iteration
-///     occupancy under its own per-statement profile — dead statements
-///     still execute sequentially and must be paid for there.
+///   * the sequential baseline is the speculation-free rewrite's
+///     per-iteration occupancy under its own per-statement profile — dead
+///     statements still execute sequentially and must be paid for there.
 ///
-/// `layout`/`params`/`image` describe the prepared workload (the same
-/// inputs KernelRunner interprets); layout and params are keyed by symbol
-/// id, which every rewrite pass preserves.
-Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
-                                   const compiler::CompileOptions& options,
-                                   const analysis::ProfileData* merge_profile,
-                                   const ir::DataLayout& layout,
-                                   const ir::ParamEnv& params,
-                                   const std::vector<std::uint64_t>& image,
-                                   const sim::CacheConfig& cache);
+/// Everything but the merge is a function of the kernel, the workload and
+/// the speculation value, so the constructor computes it once: per
+/// requested speculation value the rewritten kernel's code graph and
+/// per-node occupancy, plus the sequential baseline.  Predict then merges
+/// and costs one point.  `layout`/`params`/`image` describe the prepared
+/// workload (the same inputs KernelRunner interprets); layout and params
+/// are keyed by symbol id, which every rewrite pass preserves.  The object
+/// is read-only after construction, so threads may share it.
+class WorkloadPredictor {
+ public:
+  WorkloadPredictor(const ir::Kernel& kernel,
+                    const compiler::CompileOptions& options,
+                    const analysis::ProfileData* merge_profile,
+                    const ir::DataLayout& layout, const ir::ParamEnv& params,
+                    const std::vector<std::uint64_t>& image,
+                    const sim::CacheConfig& cache,
+                    const std::vector<bool>& speculation);
+
+  /// Predicts the candidate a compile under `options` selects.  `options`
+  /// must agree with the construction options on everything the rewrite
+  /// and the code graph read (max_expr_depth, use_profile), and its
+  /// speculation value must be one the constructor prepared.  An error the
+  /// shared work raised is rethrown here, where a one-shot prediction
+  /// would have raised it.
+  Prediction Predict(const compiler::CompileOptions& options) const;
+
+ private:
+  struct Rewrite {
+    std::exception_ptr error;  // set when rewriting or profiling threw
+    compiler::CodeGraph graph;
+    std::vector<double> node_occupancy;  // execution-granularity node costs
+  };
+
+  int max_expr_depth_;
+  bool use_profile_;
+  std::exception_ptr sequential_error_;
+  double sequential_occupancy_ = 0.0;  // per iteration, loop overhead out
+  std::optional<Rewrite> rewrites_[2];  // by speculation value
+};
 
 /// The select-stage cost model: scores each built candidate at its
 /// predicted per-iteration parallel cost (lower wins), so multi-version

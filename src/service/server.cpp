@@ -114,15 +114,18 @@ void SocketServer::ServeConnection(int fd) {
       // health/stats/shutdown bypass the bounded queue: they must answer
       // even when every worker is busy and the queue is full.
       response = core_.Handle(request);
-    } else if (StopRequested()) {
-      response = core_.RejectDraining(request);
     } else {
       std::future<std::string> pending;
       std::size_t depth = 0;
-      {
+      bool draining = StopRequested();
+      if (!draining) {
         std::lock_guard<std::mutex> lock(queue_mutex_);
+        // Checked under the lock: a drain that began after the check above
+        // may already have let the workers exit, and a job queued now
+        // would never be answered.
+        draining = workers_stop_;
         depth = queue_.size();
-        if (depth < core_.config().queue_depth) {
+        if (!draining && depth < core_.config().queue_depth) {
           auto job = std::make_unique<Job>();
           job->request = request;
           job->admitted = std::chrono::steady_clock::now();
@@ -130,7 +133,9 @@ void SocketServer::ServeConnection(int fd) {
           queue_.push_back(std::move(job));
         }
       }
-      if (pending.valid()) {
+      if (draining) {
+        response = core_.RejectDraining(request);
+      } else if (pending.valid()) {
         queue_cv_.notify_one();
         response = pending.get();
       } else {

@@ -54,6 +54,8 @@ struct CoreTiming {
   int taken_branch_penalty = 2;  // front-end bubbles after a taken branch
   int queue_op = 1;   // paper: "Processing an enqueue or dequeue instruction
                       // takes one cycle in the processor pipeline."
+
+  friend bool operator==(const CoreTiming&, const CoreTiming&) = default;
 };
 
 /// Latency of an instruction's result, excluding memory (loads ask the
@@ -73,6 +75,8 @@ struct CacheConfig {
   int l1_latency = 6;    // load-to-use on L1 hit
   int l2_latency = 40;   // L1 miss, L2 hit
   int mem_latency = 200; // L2 miss
+
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };
 
 /// Hardware queue parameters (Section II, Section V).

@@ -101,7 +101,8 @@ std::uint64_t QueueMatrix::TotalTransfers() const {
 Core::Core(int id, const MachineConfig& config, int physical_core)
     : id_(id),
       physical_core_(physical_core < 0 ? id : physical_core),
-      config_(config) {}
+      timing_(config.timing),
+      call_stack_limit_(config.call_stack_limit) {}
 
 void Core::Start(std::int64_t pc) {
   started_ = true;
@@ -294,7 +295,7 @@ StepOutcome Core::Step(std::uint64_t now, const isa::Program& program,
 
 void Core::Execute(std::uint64_t now, const Instruction& instr, MemorySystem& memory,
                    QueueMatrix& queues) {
-  const CoreTiming& t = config_.timing;
+  const CoreTiming& t = timing_;
   const int lat = isa::IsLoad(instr.op) || isa::IsStore(instr.op)
                       ? 0  // determined inside ExecuteImpl
                       : ResultLatency(t, instr.op);
@@ -312,7 +313,7 @@ void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
                        int result_latency, std::uint64_t unpipelined_busy,
                        std::uint64_t taken_branch_busy, MemorySystem& memory,
                        QueueMatrix& queues) {
-  const CoreTiming& t = config_.timing;
+  const CoreTiming& t = timing_;
   std::int64_t next_pc = pc_ + 1;
   std::uint64_t issue_busy = 1;  // default: fully pipelined, 1 instr/cycle
   bool taken_branch = false;
@@ -443,14 +444,14 @@ void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
       }
       break;
     case Opcode::kCall:
-      FGPAR_CHECK_MSG(static_cast<int>(call_stack_.size()) < config_.call_stack_limit,
+      FGPAR_CHECK_MSG(static_cast<int>(call_stack_.size()) < call_stack_limit_,
                       "call stack overflow");
       call_stack_.push_back(pc_ + 1);
       next_pc = instr.imm;
       taken_branch = true;
       break;
     case Opcode::kCallR:
-      FGPAR_CHECK_MSG(static_cast<int>(call_stack_.size()) < config_.call_stack_limit,
+      FGPAR_CHECK_MSG(static_cast<int>(call_stack_.size()) < call_stack_limit_,
                       "call stack overflow");
       call_stack_.push_back(pc_ + 1);
       next_pc = g(instr.src1);

@@ -183,7 +183,10 @@ class Core {
 
   int id_;
   int physical_core_;
-  const MachineConfig& config_;
+  // Copied, not referenced: a Machine moves its cores along with itself,
+  // and a reference into the moved-from machine's config would dangle.
+  CoreTiming timing_;
+  int call_stack_limit_;
   bool started_ = false;
   bool halted_ = false;
   std::int64_t pc_ = 0;

@@ -159,7 +159,7 @@ void Core::LoadState(ByteReader& r) {
     v = r.U64();
   }
   const std::uint64_t depth = r.U64();
-  FGPAR_CHECK_MSG(depth <= static_cast<std::uint64_t>(config_.call_stack_limit),
+  FGPAR_CHECK_MSG(depth <= static_cast<std::uint64_t>(call_stack_limit_),
                   "corrupt snapshot: call stack depth " + std::to_string(depth) +
                       " exceeds limit");
   call_stack_.clear();

@@ -1,9 +1,15 @@
 // Tests for the deterministic per-kernel autotuner (harness/autotune.*):
 // space enumeration, knob application, the predict-rank-simulate-choose
 // loop's frontier discipline and never-worse guarantee, agreement with an
-// exhaustive simulation on a golden space, and the fgpar-tune-v1 codec.
+// exhaustive simulation on a golden space, the fgpar-tune-v1 codec, and
+// the tune session (harness::KernelSession) the loop runs on: its
+// predictions equal one-shot ones, capacity never reaches them, thread
+// count never changes the artifact, and a config that disagrees with the
+// session is refused.
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +201,148 @@ TEST(Autotune, TuneArtifactRoundTripsAndRejectsWrongSchema) {
   EXPECT_THROW(harness::ParseTuneArtifact("{\"schema\":\"fgpar-tune-v0\"}"),
                Error);
   EXPECT_THROW(harness::ParseTuneArtifact("not json"), Error);
+}
+
+TEST(KernelSession, PredictionsEqualOneShotPredictOnEveryPoint) {
+  const harness::TuneSpace space;
+  for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
+    const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                       kernels::SequoiaInit(spec));
+    harness::RunConfig base;
+    base.tune_by_simulation = false;
+    harness::KernelSession::Uses uses;
+    uses.predict_speculation = {false, true};
+    const harness::KernelSession session(runner, base, uses);
+    for (const harness::TunePoint& point : space.Enumerate()) {
+      const harness::RunConfig config = harness::ApplyTunePoint(base, point);
+      const model::Prediction shared = session.Predict(config);
+      const model::Prediction fresh = runner.Predict(config);
+      const std::string where = spec.id + " " + harness::TunePointLabel(point);
+      EXPECT_EQ(shared.speedup, fresh.speedup) << where;  // bitwise
+      EXPECT_EQ(shared.parallel_cost, fresh.parallel_cost) << where;
+      EXPECT_EQ(shared.sequential_cost, fresh.sequential_cost) << where;
+    }
+  }
+}
+
+TEST(KernelSession, QueueCapacityNeverReachesThePrediction) {
+  // The autotuner predicts each (cores, merge, speculation) once and
+  // shares it across capacities.  A capacity-aware predictor must fail
+  // here first, not silently reuse a stale prediction.
+  for (const char* id : {"lammps-1", "umt2k-2", "irs-1"}) {
+    const kernels::SequoiaKernel& spec = KernelById(id);
+    const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                       kernels::SequoiaInit(spec));
+    for (int cores : {2, 3, 4}) {
+      for (int merge : {0, 1, 2}) {
+        for (bool speculation : {false, true}) {
+          double first = 0.0;
+          for (int capacity : {4, 8, 20}) {
+            const harness::RunConfig config = harness::ApplyTunePoint(
+                harness::RunConfig{},
+                harness::TunePoint{cores, capacity, speculation, merge});
+            const double speedup = runner.Predict(config).speedup;
+            if (capacity == 4) {
+              first = speedup;
+            }
+            EXPECT_EQ(speedup, first)
+                << id << " c" << cores << " merge=" << merge
+                << " spec=" << speculation << " q" << capacity;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelSession, RefusesAConfigThatDisagreesOnASharedField) {
+  const kernels::SequoiaKernel& spec = KernelById("lammps-1");
+  const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                     kernels::SequoiaInit(spec));
+  harness::RunConfig base;
+  base.tune_by_simulation = false;
+  harness::KernelSession::Uses uses;
+  uses.run = true;
+  uses.predict_speculation = {false};
+  const harness::KernelSession session(runner, base, uses);
+
+  // Knobs the shared results never read are free.
+  harness::RunConfig free = harness::ApplyTunePoint(
+      base, harness::TunePoint{2, 4, false, 1});
+  EXPECT_EQ(session.Run(free).speedup, runner.Run(free).speedup);
+  EXPECT_EQ(session.Predict(free).speedup, runner.Predict(free).speedup);
+
+  const std::vector<std::pair<std::string,
+                              std::function<void(harness::RunConfig&)>>>
+      disagreements = {
+          {"seed", [](harness::RunConfig& c) { c.seed += 1; }},
+          {"cache", [](harness::RunConfig& c) { c.cache.l1_latency += 1; }},
+          {"timing", [](harness::RunConfig& c) { c.timing.fp_mul += 1; }},
+          {"max_expr_depth",
+           [](harness::RunConfig& c) { c.compile.max_expr_depth += 1; }},
+          {"verify", [](harness::RunConfig& c) { c.verify = !c.verify; }},
+          {"max_cycles", [](harness::RunConfig& c) { c.max_cycles = 1 << 30; }},
+          {"force_tier",
+           [](harness::RunConfig& c) { c.force_tier = sim::RunTier::kSlow; }},
+      };
+  for (const auto& [field, change] : disagreements) {
+    harness::RunConfig config = base;
+    change(config);
+    try {
+      session.Run(config);
+      ADD_FAILURE() << "Run accepted a config with a different " << field;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(session.Predict(config), Error) << field;
+  }
+  // A session prepared for one speculation value serves only that one.
+  harness::RunConfig speculative = base;
+  speculative.compile.speculation = true;
+  EXPECT_THROW(session.Predict(speculative), Error);
+}
+
+TEST(Autotune, AWorkloadThatFailsMarksEveryPointWithItsError) {
+  // The tune session prepares the workload once; its error must reach
+  // every point as that point's own note, as a per-point Predict/Run
+  // would raise it, and never abort the whole tune.
+  const kernels::SequoiaKernel& spec = KernelById("lammps-1");
+  const harness::WorkloadInit broken =
+      [](std::uint64_t, const ir::Kernel&, const ir::DataLayout&,
+         ir::ParamEnv&, std::vector<std::uint64_t>&) {
+        throw Error("workload refused");
+      };
+  harness::TuneOptions options;
+  options.sweep_threads = 2;
+  const harness::TuneResult result = harness::AutotuneKernel(
+      kernels::ParseSequoia(spec), broken, harness::TuneSpace{}, options);
+  EXPECT_EQ(result.simulated, 0u);
+  for (const harness::TuneCandidate& candidate : result.candidates) {
+    EXPECT_FALSE(candidate.feasible);
+    EXPECT_FALSE(candidate.simulated);
+    EXPECT_NE(candidate.note.find("workload refused"), std::string::npos)
+        << candidate.note;
+  }
+}
+
+TEST(Autotune, SweepThreadsNeverChangeTheTuneArtifact) {
+  // Frontier runs fan out across supervisor threads that share one tune
+  // session; the artifact must not depend on how many there are.
+  for (const char* id : {"umt2k-2", "sphot-1"}) {
+    const kernels::SequoiaKernel& spec = KernelById(id);
+    const ir::Kernel kernel = kernels::ParseSequoia(spec);
+    harness::TuneOptions options;
+    options.sweep_threads = 1;
+    const std::string serial = harness::EncodeTuneArtifact(
+        harness::AutotuneKernel(kernel, kernels::SequoiaInit(spec),
+                                harness::TuneSpace{}, options));
+    options.sweep_threads = 4;
+    const std::string threaded = harness::EncodeTuneArtifact(
+        harness::AutotuneKernel(kernel, kernels::SequoiaInit(spec),
+                                harness::TuneSpace{}, options));
+    EXPECT_EQ(threaded, serial) << id;
+  }
 }
 
 }  // namespace

@@ -4,18 +4,24 @@
 // service::ConnectOnce.  Each test pins one property both sides of the
 // transport must agree on: connection teardown never touches a recycled
 // fd, finished connection threads are reclaimed while the server runs,
-// and the address grammar (name length, port digits) is one grammar.
+// the address grammar (name length, port digits) is one grammar, and a
+// compile_run that races fgpard's drain is answered, never stranded.
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +259,70 @@ TEST(Net, FgpardServesOverTcp) {
   const JsonValue doc = ParseJson(payload);
   EXPECT_EQ(doc.Get("code").AsU64(), 200u) << payload;
   EXPECT_EQ(doc.Get("id").AsU64(), 7u) << payload;
+}
+
+TEST(Net, CompileRunRacingTheDrainIsNeverStranded) {
+  // Clients keep compile_runs in flight while the daemon drains.  Each one
+  // must be answered — by a worker, or with the structured "draining" 503
+  // — before the workers exit: a job queued after them would leave its
+  // connection thread waiting forever, and the drain (which joins that
+  // thread) would never return.
+  constexpr int kRounds = 20;
+  constexpr int kClients = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    service::ServiceCore core(OneWorker());
+    const std::string address = AbstractName("drain-" + std::to_string(round));
+    service::SocketServer server(core, address);
+    server.Start();
+    std::atomic<int> answered{0};
+    std::atomic<int> bad_codes{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        const int fd = service::ConnectWithBackoff(address, 5.0);
+        if (fd < 0) {
+          ++bad_codes;
+          return;
+        }
+        service::Request request;
+        request.op = service::Op::kCompileRun;
+        request.id = 1;
+        request.kernel = "not a kernel";  // a quick 400 from the worker
+        std::string payload;
+        // Runs until the drain closes the connection.
+        while (service::WriteFrame(fd, service::EncodeRequest(request)) &&
+               service::ReadFrame(fd, payload) == service::ReadStatus::kFrame) {
+          const std::int64_t code = ParseJson(payload).Get("code").AsI64();
+          if (code != service::kBadRequest && code != service::kRejected) {
+            ++bad_codes;
+          }
+          ++answered;
+        }
+        ::close(fd);
+      });
+    }
+    ASSERT_TRUE(WaitFor([&] { return answered.load() >= 4 * kClients; }))
+        << "round " << round << ": clients were never answered";
+    std::future<int> drained = std::async(std::launch::async, [&] {
+      server.RequestStop();
+      return server.ServeUntilShutdown();
+    });
+    if (drained.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+      // The stranded connection thread can never be joined: fail the
+      // whole process rather than hang it.
+      ADD_FAILURE() << "round " << round
+                    << ": the drain never finished (a compile_run was "
+                       "queued after the workers exited)";
+      std::fflush(nullptr);
+      std::_Exit(1);
+    }
+    EXPECT_EQ(drained.get(), 0);
+    for (std::thread& client : clients) {
+      client.join();
+    }
+    EXPECT_EQ(bad_codes.load(), 0) << "round " << round;
+  }
 }
 
 }  // namespace

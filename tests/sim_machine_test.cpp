@@ -2,6 +2,8 @@
 // deadlock detection, and the Figure 11 transfer-latency behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "isa/assembler.hpp"
 #include "sim/machine.hpp"
 #include "support/error.hpp"
@@ -18,6 +20,38 @@ MachineConfig TwoCores() {
   config.num_cores = 2;
   config.memory_words = 1 << 16;
   return config;
+}
+
+TEST(Machine, AMovedMachineKeepsItsOwnTiming) {
+  // A machine's cores must carry their timing with them through a move:
+  // reading it from the moved-from machine would read freed memory (here
+  // reused by a machine with other timing) once that machine is gone.
+  Assembler a;
+  a.Bind(a.NewNamedLabel("main"));
+  a.LiI(Gpr{1}, 3);
+  for (int i = 0; i < 8; ++i) {
+    a.MulI(Gpr{1}, Gpr{1}, Gpr{1});  // a dependent chain: int_mul per link
+  }
+  a.Halt();
+  const isa::Program program = a.Finish();
+  MachineConfig slow_mul;
+  slow_mul.num_cores = 1;
+  slow_mul.memory_words = 1 << 10;
+  slow_mul.force_tier = RunTier::kSlow;  // the core's own issue loop
+  slow_mul.timing.int_mul = 20;
+
+  Machine reference(slow_mul, program);
+  reference.StartCoreAt(0, "main");
+  const std::uint64_t expected = reference.Run().cycles;
+
+  auto source = std::make_unique<Machine>(slow_mul, program);
+  source->StartCoreAt(0, "main");
+  Machine moved = std::move(*source);
+  source.reset();
+  MachineConfig fast_mul = slow_mul;
+  fast_mul.timing.int_mul = 1;
+  const auto reuse = std::make_unique<Machine>(fast_mul, program);
+  EXPECT_EQ(moved.Run().cycles, expected);
 }
 
 TEST(Machine, ValueTravelsBetweenCores) {
