@@ -21,11 +21,10 @@
 //    in the result instead of an exception or a silent drop.  Corrupt
 //    input costs re-computing those points, nothing more.
 //
-// This is deliberately a separate, *tolerant* reader next to
-// SweepCheckpoint::LoadOrCreate's *strict* one: a worker resuming its own
-// journal wants corruption loud and fatal (its own disk is lying to it);
-// a coordinator merging a dead worker's journal wants every good record
-// it can get.
+// It reads each file through the same record-log reader as
+// SweepCheckpoint::LoadOrCreate, with the opposite policy: a worker
+// resuming its own journal wants corruption loud and fatal; a coordinator
+// merging a dead worker's journal wants every good record it can get.
 #pragma once
 
 #include <cstdint>

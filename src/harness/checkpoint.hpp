@@ -27,19 +27,37 @@
 // Journals written before the token existed parse exactly as before: a
 // header with no `slice=` token is a whole-grid journal.
 //
-// Durability: the journal is rewritten whole through a temp file and an
-// atomic rename on every recorded point.  A crash at any instant leaves
-// either the previous journal or the new one, never a torn file; grids
-// are at most a few hundred points, so the rewrite is microseconds.
+// The file is a record log (support/record_log.hpp): the first
+// RecordPoint creates it and every later one appends one line, so a
+// kill -9 costs at most the torn tail of the append it interrupted, which
+// --resume drops (that point reruns).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "support/record_log.hpp"
+
 namespace fgpar::harness {
+
+/// The journal at `path`: "point <index> <hex payload>" records.
+RecordLog CheckpointLog(std::string path);
+
+/// "" when `header` opens a journal of sweep `name` over grid
+/// `fingerprint`, else why not, phrased to follow the file's name.
+/// `slice` is the slice a resume expects (0: the whole grid); nullopt
+/// accepts the whole grid or any well-formed slice, as a merge does.
+std::string CheckpointHeaderError(std::string_view header,
+                                  std::string_view name,
+                                  std::uint64_t fingerprint,
+                                  std::optional<std::uint64_t> slice);
+
+/// Parses a point index; false unless `text` is all decimal digits.
+bool ParsePointIndex(std::string_view text, std::size_t& index);
 
 /// Fingerprint of a sweep grid: name, point count, and point labels in
 /// order.  Stable across hosts and runs (FNV-1a over the text).
@@ -68,7 +86,8 @@ class SweepCheckpoint {
   /// exists but has the wrong version, belongs to a different sweep name,
   /// grid fingerprint, or slice (a slice journal under a whole-grid
   /// expectation and vice versa both reject), or is corrupt (bad header,
-  /// malformed point line, bad hex, duplicate or out-of-order garbage).
+  /// malformed point line, bad hex, duplicate or out-of-order garbage),
+  /// but not for a torn tail, which it drops and truncates.
   static SweepCheckpoint LoadOrCreate(std::string path, std::string name,
                                       std::uint64_t fingerprint,
                                       std::uint64_t slice_fingerprint = 0);
@@ -78,9 +97,10 @@ class SweepCheckpoint {
   const std::string* PointPayload(std::size_t index) const;
   std::size_t CompletedCount() const { return points_.size(); }
 
-  /// Journals a completed point (its opaque encoded result) and durably
-  /// rewrites the file via temp + atomic rename.  Re-recording an index
-  /// with a different payload throws: a deterministic sweep can never
+  /// Journals a completed point (its opaque encoded result) by appending
+  /// one record; the first record, and the first after RestorePoints,
+  /// rewrites the whole journal instead.  Re-recording an index with a
+  /// different payload throws: a deterministic sweep can never
   /// legitimately produce two results for one point.
   void RecordPoint(std::size_t index, const std::string& payload);
 
@@ -89,19 +109,18 @@ class SweepCheckpoint {
   /// dist/journal_merge.hpp).  The next RecordPoint persists everything.
   void RestorePoints(std::map<std::size_t, std::string> points);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
   const std::string& name() const { return name_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
   std::uint64_t slice_fingerprint() const { return slice_fingerprint_; }
 
  private:
-  void WriteFileAtomic() const;
-
-  std::string path_;
+  RecordLog log_;
   std::string name_;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t slice_fingerprint_ = 0;  // 0 = whole grid
   std::map<std::size_t, std::string> points_;  // index -> opaque payload
+  bool on_disk_ = false;  // the file holds the header and every point
 };
 
 }  // namespace fgpar::harness

@@ -1,9 +1,5 @@
 #include "service/cache.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "support/error.hpp"
 #include "support/serial.hpp"
 
 namespace fgpar::service {
@@ -11,11 +7,23 @@ namespace fgpar::service {
 namespace {
 
 constexpr const char kCacheVersion[] = "fgpar-cache-v1";
+/// An insert compacts the file when the records on disk would reach this
+/// many times the live entries.
+constexpr std::size_t kCompactFactor = 2;
+
+/// An entry's record fields: kernel hash, config hash, payload checksum.
+std::vector<std::string> FieldsFor(const CacheKey& key,
+                                   const std::string& payload) {
+  return {Hex64(key.kernel_hash), Hex64(key.config_hash),
+          Hex64(Fnv1a64(payload))};
+}
 
 }  // namespace
 
 CompileCache::CompileCache(std::string path, std::size_t max_entries)
-    : path_(std::move(path)), max_entries_(max_entries) {
+    : path_(std::move(path)),
+      max_entries_(max_entries),
+      log_(path_, "entry", 3) {
   std::lock_guard<std::mutex> lock(mutex_);
   LoadLocked();
 }
@@ -44,18 +52,38 @@ void CompileCache::Insert(const CacheKey& key, std::string response) {
   if (entries_.count(key) != 0) {
     return;  // first result wins; concurrent workers may race benignly
   }
+  stats_.capacity_evicted += AdmitLocked(key, std::move(response));
+  ++stats_.insertions;
+  stats_.entries = entries_.size();
+  if (path_.empty()) {
+    return;
+  }
+  try {
+    const std::string& payload = entries_.at(key);
+    if (appendable_ &&
+        records_on_disk_ + 1 < kCompactFactor * entries_.size()) {
+      log_.Append(FieldsFor(key, payload), payload);
+      ++records_on_disk_;
+    } else {
+      CompactLocked();
+    }
+  } catch (...) {
+    appendable_ = false;  // the next insert rewrites every live entry
+    throw;
+  }
+}
+
+std::size_t CompileCache::AdmitLocked(const CacheKey& key,
+                                      std::string response) {
   entries_[key] = std::move(response);
   insertion_order_.push_back(key);
-  ++stats_.insertions;
+  std::size_t evicted = 0;
   while (max_entries_ > 0 && entries_.size() > max_entries_) {
     entries_.erase(insertion_order_.front());
     insertion_order_.pop_front();
-    ++stats_.capacity_evicted;
+    ++evicted;
   }
-  stats_.entries = entries_.size();
-  if (!path_.empty()) {
-    PersistLocked();
-  }
+  return evicted;
 }
 
 CompileCache::Stats CompileCache::stats() const {
@@ -69,77 +97,53 @@ void CompileCache::LoadLocked() {
   if (path_.empty()) {
     return;
   }
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.good()) {
+  LogContents log = log_.Read();
+  if (!log.opened) {
     return;  // fresh cache
   }
-  std::string header;
-  if (!std::getline(in, header)) {
-    ++stats_.corrupt_evicted;  // empty file: count and start fresh
-    return;
-  }
-  std::istringstream header_stream(header);
-  std::string version;
-  header_stream >> version;
-  if (version != kCacheVersion) {
-    // Unknown format (torn header or future version): serve nothing from
-    // it rather than guess.  The file is rewritten on the next insert.
+  if (log.header != kCacheVersion) {
+    // Empty, torn or unknown header (a future version): serve nothing
+    // from it rather than guess.  The next insert rewrites the file.
     ++stats_.corrupt_evicted;
     return;
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream line_stream(line);
-    std::string tag, khash_text, chash_text, checksum_text, hex;
-    line_stream >> tag >> khash_text >> chash_text >> checksum_text >> hex;
+  // Replay in file order under the FIFO cap: a key re-inserted after its
+  // eviction is evicted here too before its second record arrives.  A
+  // resident duplicate needs a larger cap than the writer's; the same
+  // bytes are harmless there, different bytes are damage.
+  std::size_t damaged = log.rejected.size() + (log.torn_tail ? 1 : 0);
+  for (LogRecord& record : log.records) {
     CacheKey key;
     std::uint64_t checksum = 0;
-    if (tag != "entry" || !ParseHex64(khash_text, key.kernel_hash) ||
-        !ParseHex64(chash_text, key.config_hash) ||
-        !ParseHex64(checksum_text, checksum)) {
-      ++stats_.corrupt_evicted;
-      continue;
+    const bool intact = ParseHex64(record.fields[0], key.kernel_hash) &&
+                        ParseHex64(record.fields[1], key.config_hash) &&
+                        ParseHex64(record.fields[2], checksum) &&
+                        Fnv1a64(record.payload) == checksum;
+    const auto it = entries_.find(key);
+    if (!intact || (it != entries_.end() && it->second != record.payload)) {
+      ++damaged;
+    } else if (it == entries_.end()) {
+      AdmitLocked(key, std::move(record.payload));
+      ++stats_.loaded;
     }
-    std::string payload;
-    try {
-      payload = HexDecodeToString(hex);
-    } catch (const Error&) {
-      ++stats_.corrupt_evicted;  // torn hex (e.g. odd length)
-      continue;
-    }
-    if (Fnv1a64(payload) != checksum || entries_.count(key) != 0) {
-      ++stats_.corrupt_evicted;
-      continue;
-    }
-    entries_[key] = std::move(payload);
-    insertion_order_.push_back(key);
-    ++stats_.loaded;
   }
+  stats_.corrupt_evicted += damaged;
   stats_.entries = entries_.size();
+  appendable_ = damaged == 0;
+  records_on_disk_ = log.records.size() + log.rejected.size();
 }
 
-void CompileCache::PersistLocked() const {
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    FGPAR_CHECK_MSG(out.good(), "cannot open " + tmp + " for writing");
-    out << kCacheVersion << '\n';
-    // Written in insertion order so a reloaded cache keeps the same FIFO
-    // eviction sequence as the process that wrote it.
-    for (const CacheKey& key : insertion_order_) {
-      const std::string& payload = entries_.at(key);
-      out << "entry " << Hex64(key.kernel_hash) << ' '
-          << Hex64(key.config_hash) << ' ' << Hex64(Fnv1a64(payload)) << ' '
-          << HexEncode(payload) << '\n';
-    }
-    out.flush();
-    FGPAR_CHECK_MSG(out.good(), "failed writing " + tmp);
+void CompileCache::CompactLocked() {
+  // Insertion order, so a reloaded cache keeps the same FIFO eviction
+  // sequence as the process that wrote it.
+  std::vector<LogRecord> records;
+  for (const CacheKey& key : insertion_order_) {
+    const std::string& payload = entries_.at(key);
+    records.push_back({0, FieldsFor(key, payload), payload});
   }
-  FGPAR_CHECK_MSG(std::rename(tmp.c_str(), path_.c_str()) == 0,
-                  "failed renaming " + tmp + " to " + path_);
+  log_.Rewrite(kCacheVersion, records);
+  records_on_disk_ = records.size();
+  appendable_ = true;
 }
 
 }  // namespace fgpar::service

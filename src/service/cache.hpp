@@ -13,14 +13,15 @@
 // order makes two different configurations collide only by hash accident
 // on 128 combined bits.
 //
-// Persistence.  The file is line-oriented like the sweep checkpoint
-// journal: a header line, then one "entry <key> <checksum> <hex payload>"
-// line per cached response.  Every insert rewrites the file via the
-// temp-file + atomic-rename idiom, so a kill -9 at any instant leaves
-// either the old file or the new file — never a torn hybrid.  Each entry
-// carries its own FNV-1a checksum; a corrupted line (torn hex, checksum
-// mismatch, bad header) is detected on load, counted, and evicted — the
-// daemon recompiles that job instead of serving garbage.
+// Persistence.  The file is a record log (support/record_log.hpp): one
+// "entry <kernel> <config> <checksum> <hex payload>" line per insert,
+// appended before the insert returns.  A load replays the lines in file
+// order under the same FIFO cap, so a restarted cache holds the same
+// entries and evicts the same key next.  The insert that would bring the
+// lines to twice the live entries compacts the file to the live entries
+// instead.  Each entry carries its own FNV-1a checksum: a damaged line
+// or a torn tail is detected on load, counted, and evicted — the daemon
+// recompiles that job instead of serving garbage.
 //
 // Entries hold only fully-successful (status 200, non-degraded)
 // responses: those are deterministic in the key alone.  Degraded and
@@ -36,6 +37,8 @@
 #include <string>
 #include <string_view>
 #include <utility>
+
+#include "support/record_log.hpp"
 
 namespace fgpar::service {
 
@@ -61,7 +64,7 @@ class CompileCache {
     std::uint64_t insertions = 0;
     std::uint64_t corrupt_evicted = 0;   // load-time checksum/format failures
     std::uint64_t capacity_evicted = 0;  // FIFO evictions past max_entries
-    std::uint64_t loaded = 0;            // entries replayed from disk
+    std::uint64_t loaded = 0;            // records replayed from disk
     std::size_t entries = 0;
   };
 
@@ -76,7 +79,7 @@ class CompileCache {
   /// Thread-safe; counts a hit or a miss.
   std::optional<std::string> Lookup(const CacheKey& key);
 
-  /// Thread-safe; persists atomically before returning (an entry is never
+  /// Thread-safe; persists before returning (an entry is never
   /// acknowledged in stats before it would survive a crash).  Re-inserting
   /// an existing key is a no-op — first result wins, which is also the
   /// determinism cross-check: a second compute of the same key must
@@ -88,7 +91,9 @@ class CompileCache {
 
  private:
   void LoadLocked();
-  void PersistLocked() const;
+  /// Adds an entry and evicts past max_entries_; returns the evictions.
+  std::size_t AdmitLocked(const CacheKey& key, std::string response);
+  void CompactLocked();
 
   const std::string path_;
   const std::size_t max_entries_;
@@ -96,6 +101,9 @@ class CompileCache {
   std::map<CacheKey, std::string> entries_;
   std::deque<CacheKey> insertion_order_;  // FIFO eviction order
   Stats stats_;
+  RecordLog log_;
+  std::size_t records_on_disk_ = 0;
+  bool appendable_ = false;  // the file has our header and no damaged line
 };
 
 }  // namespace fgpar::service

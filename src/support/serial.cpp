@@ -127,43 +127,41 @@ int HexNibble(char c) {
   return -1;
 }
 
-template <typename Seq>
-std::string HexEncodeSeq(const Seq& bytes) {
+}  // namespace
+
+std::string HexEncode(std::string_view bytes) {
   std::string out;
   out.reserve(bytes.size() * 2);
-  for (const auto b : bytes) {
+  for (const char b : bytes) {
     const std::uint8_t v = static_cast<std::uint8_t>(b);
     out.push_back(kHexDigits[v >> 4]);
     out.push_back(kHexDigits[v & 0xF]);
   }
   return out;
 }
-}  // namespace
 
-std::string HexEncode(const std::vector<std::uint8_t>& bytes) {
-  return HexEncodeSeq(bytes);
-}
-
-std::string HexEncode(std::string_view bytes) { return HexEncodeSeq(bytes); }
-
-std::vector<std::uint8_t> HexDecode(std::string_view hex) {
-  FGPAR_CHECK_MSG(hex.size() % 2 == 0,
-                  "hex string has odd length " + std::to_string(hex.size()));
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(hex.size() / 2);
+bool ParseHex(std::string_view hex, std::string& out) {
+  if (hex.size() % 2 != 0) {
+    return false;
+  }
+  out.clear();
+  out.reserve(hex.size() / 2);
   for (std::size_t i = 0; i < hex.size(); i += 2) {
     const int hi = HexNibble(hex[i]);
     const int lo = HexNibble(hex[i + 1]);
-    FGPAR_CHECK_MSG(hi >= 0 && lo >= 0,
-                    "invalid hex byte at offset " + std::to_string(i));
-    bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+    if (hi < 0 || lo < 0) {
+      return false;
+    }
+    out.push_back(static_cast<char>((hi << 4) | lo));
   }
-  return bytes;
+  return true;
 }
 
 std::string HexDecodeToString(std::string_view hex) {
-  const std::vector<std::uint8_t> bytes = HexDecode(hex);
-  return std::string(bytes.begin(), bytes.end());
+  std::string bytes;
+  FGPAR_CHECK_MSG(ParseHex(hex, bytes),
+                  "malformed hex string of length " + std::to_string(hex.size()));
+  return bytes;
 }
 
 std::string Hex64(std::uint64_t value) {

@@ -7,8 +7,8 @@
 // with bytes left over (CheckFullyConsumed), throws fgpar::Error instead of
 // silently producing garbage — corrupt or truncated inputs must fail loud.
 //
-// HexEncode/HexDecode map byte blobs to lowercase hex for line-oriented
-// text formats (the sweep checkpoint journal), Hex64/ParseHex64 do the
+// HexEncode/ParseHex map byte blobs to lowercase hex for line-oriented
+// text formats (support/record_log), Hex64/ParseHex64 do the
 // same for a single 64-bit value, and Fnv1a64 provides the
 // stable content fingerprint used by snapshot identity checks and
 // checkpoint grid fingerprints.
@@ -72,12 +72,12 @@ class ByteReader {
 };
 
 /// Lowercase hex of a byte blob (two chars per byte).
-std::string HexEncode(const std::vector<std::uint8_t>& bytes);
 std::string HexEncode(std::string_view bytes);
 
-/// Inverse of HexEncode; throws fgpar::Error on odd length or non-hex
-/// characters.
-std::vector<std::uint8_t> HexDecode(std::string_view hex);
+/// Inverse of HexEncode (either case accepted).  Returns false (leaving
+/// `out` unspecified) on odd length or a non-hex character.
+bool ParseHex(std::string_view hex, std::string& out);
+/// ParseHex that throws fgpar::Error instead of returning false.
 std::string HexDecodeToString(std::string_view hex);
 
 /// A 64-bit value as exactly 16 lowercase hex digits (zero-padded): the

@@ -19,16 +19,19 @@
 // reproduces exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dist/journal_merge.hpp"
 #include "harness/checkpoint.hpp"
+#include "service/cache.hpp"
 
 namespace {
 
@@ -127,6 +130,45 @@ void AssertMergeInvariants(const MergeResult& merged) {
   }
 }
 
+// One more input through the same damage: a compile-cache file, which
+// shares the journal's record-log reader.  Its invariant is the cache's
+// own policy — the load never throws, never serves bytes that differ from
+// what was inserted, and never loses an entry silently.
+
+service::CacheKey CacheKeyFor(std::size_t index) {
+  return service::CompileCache::KeyFor("kernel-" + std::to_string(index),
+                                       "cfg");
+}
+
+std::string PristineCache(const std::string& path) {
+  std::remove(path.c_str());
+  service::CompileCache cache(path);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    cache.Insert(CacheKeyFor(i), PayloadFor(i));
+  }
+  return ReadBytes(path);
+}
+
+/// Loads the damaged cache file at `path`; returns how many of the
+/// pristine entries it serves, each checked byte-exact.
+std::size_t AssertCacheInvariants(const std::string& path) {
+  std::optional<service::CompileCache> cache;
+  EXPECT_NO_THROW(cache.emplace(path));
+  if (!cache) {
+    return 0;
+  }
+  std::size_t served = 0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    if (const auto payload = cache->Lookup(CacheKeyFor(i))) {
+      EXPECT_EQ(*payload, PayloadFor(i)) << "corrupt cache entry served";
+      ++served;
+    }
+  }
+  const service::CompileCache::Stats stats = cache->stats();
+  EXPECT_LE(stats.loaded, kPoints);
+  return served;
+}
+
 MergeResult MergeOne(const std::string& path) {
   return dist::MergeJournalFiles({path}, kSweep, GridFp(), kPoints, Validate);
 }
@@ -149,6 +191,17 @@ TEST(DistMergeFuzz, TruncationAtEveryByteNeverThrowsOrCorrupts) {
       EXPECT_EQ(merged.points.size(), kPoints);
       EXPECT_TRUE(merged.quarantined.empty());
     }
+  }
+  // The cache file: a prefix serves exactly its complete entries, and a
+  // torn last entry is counted, never served.
+  const std::string cache = PristineCache(source);
+  for (std::size_t cut = 0; cut <= cache.size(); ++cut) {
+    WriteBytes(victim, cache.substr(0, cut));
+    const std::size_t served = AssertCacheInvariants(victim);
+    const std::string prefix = cache.substr(0, cut);
+    const std::size_t lines = static_cast<std::size_t>(
+        std::count(prefix.begin(), prefix.end(), '\n'));
+    EXPECT_EQ(served, lines > 0 ? lines - 1 : 0) << "cut at byte " << cut;
   }
   std::remove(source.c_str());
   std::remove(victim.c_str());
@@ -184,6 +237,26 @@ TEST(DistMergeFuzz, SingleByteMutationsEitherAdoptOrQuarantineEveryRecord) {
     const MergeResult again = MergeOne(victim);
     EXPECT_EQ(again.points, merged.points);
     EXPECT_EQ(again.quarantined.size(), merged.quarantined.size());
+  }
+  // The cache file: an entry the damage costs is counted as corrupt, or
+  // its record still loaded — under a key the mutation rewrote, since the
+  // per-entry checksum covers the payload, not the key.
+  const std::string cache = PristineCache(source);
+  for (std::size_t pos = 0; pos < cache.size(); ++pos) {
+    std::string mutated = cache;
+    char replacement = static_cast<char>(SplitMix64(rng) & 0xff);
+    if (replacement == mutated[pos]) {
+      replacement = static_cast<char>(replacement + 1);
+    }
+    mutated[pos] = replacement;
+    WriteBytes(victim, mutated);
+    const std::size_t served = AssertCacheInvariants(victim);
+    const service::CompileCache::Stats stats =
+        service::CompileCache(victim).stats();
+    if (served < kPoints) {
+      EXPECT_TRUE(stats.corrupt_evicted > 0 || stats.loaded == kPoints)
+          << "silently dropped entries; mutation at byte " << pos;
+    }
   }
   std::remove(source.c_str());
   std::remove(victim.c_str());

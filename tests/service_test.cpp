@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -375,6 +377,134 @@ TEST(ServiceCache, FirstInsertWinsAndCapacityEvictsFifo) {
   EXPECT_EQ(cache.Lookup(b).value(), "b");
   EXPECT_EQ(cache.Lookup(c).value(), "c");
   EXPECT_EQ(cache.stats().capacity_evicted, 1u);
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(ServiceCache, AppendsCompactAtTwiceTheCapAndReplayTheFifo) {
+  const std::string path = TempPath("svc_cache_append.fgc");
+  std::filesystem::remove(path);
+  constexpr std::size_t kCap = 2;
+  const auto key = [](int i) {
+    return CompileCache::KeyFor("kernel " + std::to_string(i) + " {}", "cfg");
+  };
+  CompileCache file_backed(path, kCap);
+  CompileCache in_memory("", kCap);
+  // 20 inserts; key 0 comes back at insert 10, long after its eviction.
+  std::vector<int> order;
+  for (int i = 0; i < 20; ++i) {
+    order.push_back(i == 10 ? 0 : i);
+  }
+  for (const int i : order) {
+    const std::string body = "body " + std::to_string(i);
+    file_backed.Insert(key(i), body);
+    in_memory.Insert(key(i), body);
+    const std::vector<std::string> lines = ReadLines(path);
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines[0], "fgpar-cache-v1");
+    EXPECT_LE(lines.size(), 1 + 2 * kCap) << "after inserting key " << i;
+  }
+
+  // The restarted cache holds what the live one holds, and evicts the
+  // same key next; the re-insert after eviction is not corruption.
+  CompileCache revived(path, kCap);
+  EXPECT_EQ(revived.stats().corrupt_evicted, 0u);
+  EXPECT_EQ(revived.stats().entries, in_memory.stats().entries);
+  const auto resident = [&](CompileCache& cache) {
+    std::vector<int> keys;
+    for (int i = 0; i < 21; ++i) {
+      if (cache.Lookup(key(i)).has_value()) {
+        keys.push_back(i);
+      }
+    }
+    return keys;
+  };
+  EXPECT_EQ(resident(revived), resident(in_memory));
+  revived.Insert(key(20), "body 20");
+  in_memory.Insert(key(20), "body 20");
+  EXPECT_EQ(resident(revived), resident(in_memory));
+  EXPECT_EQ(revived.Lookup(key(19)).value(), "body 19");
+}
+
+TEST(ServiceCache, ConcurrentInsertsReplayEveryKeyExactlyOnce) {
+  const std::string path = TempPath("svc_cache_threads.fgc");
+  std::filesystem::remove(path);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 40;
+  const auto key = [](int i) {
+    return CompileCache::KeyFor("kernel " + std::to_string(i) + " {}", "cfg");
+  };
+  {
+    CompileCache cache(path);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int n = 0; n < kPerThread; ++n) {
+          const int i = t * kPerThread + n;
+          cache.Insert(key(i), "body " + std::to_string(i));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+  CompileCache revived(path);
+  EXPECT_EQ(revived.stats().loaded, std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(revived.stats().corrupt_evicted, 0u);
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    EXPECT_EQ(revived.Lookup(key(i)).value(), "body " + std::to_string(i));
+  }
+  // Exactly once on disk too: one record per key, no torn interleaving.
+  std::set<std::string> keys_on_disk;
+  const std::vector<std::string> lines = ReadLines(path);
+  for (std::size_t n = 1; n < lines.size(); ++n) {
+    keys_on_disk.insert(lines[n].substr(0, lines[n].find(' ', 23)));
+  }
+  EXPECT_EQ(lines.size(), 1u + kThreads * kPerThread);
+  EXPECT_EQ(keys_on_disk.size(), std::size_t{kThreads * kPerThread});
+}
+
+TEST(ServiceCache, FileFromTheRewriteWriterLoadsWithTheSameEntriesAndStats) {
+  // tests/golden/fgpar_cache_v1.golden was written by the cache as it was
+  // before the append-only log: cap 3, keys 0..4 inserted, one file
+  // rewrite per insert.  Loading it must give that writer's own reload.
+  const std::string path = TempPath("svc_cache_golden.fgc");
+  std::filesystem::copy_file(
+      std::string(FGPAR_GOLDEN_DIR) + "/fgpar_cache_v1.golden", path,
+      std::filesystem::copy_options::overwrite_existing);
+  const auto key = [](int i) {
+    return CompileCache::KeyFor("kernel k" + std::to_string(i) + " {}", "cfg");
+  };
+  const auto body = [](int i) {
+    return "{\"result\":" + std::to_string(i) + ",\n \"bytes\":\"" +
+           std::string("\x00\x1f\xff", 3) + "\"}";
+  };
+  CompileCache cache(path, 3);
+  EXPECT_EQ(cache.stats().loaded, 3u);
+  EXPECT_EQ(cache.stats().corrupt_evicted, 0u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_FALSE(cache.Lookup(key(0)).has_value());
+  EXPECT_FALSE(cache.Lookup(key(1)).has_value());
+  for (int i = 2; i < 5; ++i) {
+    EXPECT_EQ(cache.Lookup(key(i)).value(), body(i));
+  }
+  cache.Insert(key(5), "five");  // evicts key 2, the oldest
+  EXPECT_FALSE(cache.Lookup(key(2)).has_value());
+  EXPECT_EQ(cache.Lookup(key(5)).value(), "five");
+  CompileCache revived(path, 3);
+  EXPECT_EQ(revived.stats().corrupt_evicted, 0u);
+  EXPECT_FALSE(revived.Lookup(key(2)).has_value());
+  EXPECT_EQ(revived.Lookup(key(3)).value(), body(3));
+  EXPECT_EQ(revived.Lookup(key(5)).value(), "five");
 }
 
 // ---------------------------------------------------------------------------

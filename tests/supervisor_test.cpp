@@ -153,6 +153,62 @@ TEST(Checkpoint, RejectsVersionNameFingerprintAndCorruption) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, TornTailIsDroppedOnResumeAndTruncatedByTheNextRecord) {
+  const std::string path = TempPath("ckpt_torn_tail");
+  std::remove(path.c_str());
+  const std::vector<std::string> labels = {"p0", "p1", "p2", "p3"};
+  const std::uint64_t fp = harness::GridFingerprint("torn", labels);
+  const std::string binary("bin\x00\xff\n", 6);
+  {
+    SweepCheckpoint journal(path, "torn", fp);
+    journal.RecordPoint(0, "zero");
+    journal.RecordPoint(1, binary);
+    journal.RecordPoint(2, "two");  // the last record: the one torn below
+  }
+  const std::string pristine = ReadFile(path);
+  const std::size_t last_start = pristine.rfind('\n', pristine.size() - 2) + 1;
+  const auto load = [&] {
+    return SweepCheckpoint::LoadOrCreate(path, "torn", fp);
+  };
+
+  // Every cut inside the last record is what a kill -9 mid-append leaves:
+  // resume drops it, and the next record truncates it before appending.
+  for (std::size_t cut = last_start; cut < pristine.size(); ++cut) {
+    WriteFile(path, pristine.substr(0, cut));
+    SweepCheckpoint resumed = load();
+    ASSERT_EQ(resumed.CompletedCount(), 2u) << "cut at byte " << cut;
+    ASSERT_TRUE(resumed.HasPoint(0) && resumed.HasPoint(1));
+    EXPECT_EQ(*resumed.PointPayload(0), "zero");
+    EXPECT_EQ(*resumed.PointPayload(1), binary);
+    resumed.RecordPoint(2, "two");
+    const SweepCheckpoint reloaded = load();
+    ASSERT_EQ(reloaded.CompletedCount(), 3u) << "cut at byte " << cut;
+    EXPECT_EQ(*reloaded.PointPayload(2), "two");
+    EXPECT_EQ(ReadFile(path), pristine) << "cut at byte " << cut;
+  }
+
+  // A complete (newline-terminated) but malformed last line is damage,
+  // not a torn tail: the strict loader still refuses it.
+  const std::string head = pristine.substr(0, last_start);
+  const auto expect_rejected = [&](const std::string& contents,
+                                   const std::string& needle) {
+    WriteFile(path, contents);
+    try {
+      load();
+      FAIL() << "expected rejection for: " << needle;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(head + "garbage line here\n", "unexpected line");
+  expect_rejected(head + "point x 6f6e65\n", "bad point index");
+  expect_rejected(head + "point 0 6f6e65\n", "duplicate point");
+  expect_rejected(pristine.substr(0, pristine.size() - 2) + "\n",
+                  "malformed payload hex");
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, GridFingerprintDiscriminates) {
   const std::uint64_t base =
       harness::GridFingerprint("fig12", {"a cores=2", "b cores=2"});

@@ -10,9 +10,11 @@
 //                        port, anything else a filesystem socket
 //                        unlinked on clean shutdown
 //   --cache FILE         persist the compile cache here ("fgpar-cache-v1",
-//                        atomic temp+rename per insert; default: none).
-//                        A daemon restarted after kill -9 replays the file
-//                        and serves cached responses byte-identically.
+//                        one appended line per insert, compacted through
+//                        temp+rename at twice the live entries; default:
+//                        none).  A daemon restarted after kill -9 replays
+//                        the file and serves cached responses
+//                        byte-identically.
 //   --cache-entries N    cache capacity before FIFO eviction (default 4096)
 //   --workers N          compile worker threads (default: FGPAR_SWEEP_THREADS
 //                        or the host's hardware concurrency)
