@@ -43,4 +43,12 @@ Overlap CompareIndices(const LinearIndex& a, const LinearIndex& b);
 /// iteration (used by store-to-load forwarding).
 bool SameAddressSameIteration(const LinearIndex& a, const LinearIndex& b);
 
+/// The trip count (`fgparc --trip`, a service request's `trip`) sets every
+/// i64 parameter, and with them the loop bounds.  Throws Error when `trip`
+/// drives an affine subscript c*i + k of the loop body outside its array,
+/// so callers can reject the input before anything is compiled.
+/// Subscripts the affine analysis cannot see through (gathers, parameter
+/// offsets) keep the reference interpreter's own check.
+void CheckTripInBounds(const ir::Kernel& kernel, std::int64_t trip);
+
 }  // namespace fgpar::analysis

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -144,6 +145,129 @@ void PinThread(std::thread& thread, int core) {
 #endif
 }
 
+/// Waits until `epoch` reads `want`: a short spin (the ring's budget), then
+/// a park on the word's futex.  The short spin matters: a worker that kept
+/// spinning between runs would steal its CPU from the caller's own
+/// sequential work.
+void AwaitEpoch(const std::atomic<std::uint32_t>& epoch, std::uint32_t want) {
+  for (unsigned spin = 0; spin < kSpinBudget; ++spin) {
+    if (epoch.load(std::memory_order_acquire) == want) {
+      return;
+    }
+    CpuRelax();
+  }
+  for (std::uint32_t seen = epoch.load(std::memory_order_acquire);
+       seen != want; seen = epoch.load(std::memory_order_acquire)) {
+    epoch.wait(seen, std::memory_order_acquire);
+  }
+}
+
+/// One parked thread bound to a core slot, pinned once at creation and
+/// reused by every run that leases it.  A run hands it a job by bumping
+/// `dispatched_`; the worker runs the job and publishes the same epoch in
+/// `finished_`.  Both words live as long as the worker, which outlives
+/// every run, so the notify that follows a store never touches freed
+/// memory, which a counter on the caller's stack could not promise.
+class Worker {
+ public:
+  explicit Worker(int core) : core_(core), thread_([this] { Loop(); }) {
+    PinThread(thread_, core);
+  }
+
+  /// Only an idle worker is destroyed (the pool's, at process exit).
+  ~Worker() {
+    Start(nullptr);  // a null job ends Loop
+    thread_.join();
+  }
+
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  /// Runs `job(core)` on this worker.  The caller must hold the lease.
+  void Start(const std::function<void(int)>* job) {
+    job_ = job;
+    dispatched_.fetch_add(1, std::memory_order_release);
+    dispatched_.notify_one();
+  }
+
+  /// Returns once the worker has left the job Start handed it; everything
+  /// the job wrote happens-before the return.
+  void Finish() const {
+    AwaitEpoch(finished_, dispatched_.load(std::memory_order_relaxed));
+  }
+
+ private:
+  void Loop() {
+    for (std::uint32_t epoch = 1;; ++epoch) {
+      AwaitEpoch(dispatched_, epoch);
+      if (job_ == nullptr) {
+        return;
+      }
+      (*job_)(core_);  // jobs catch their own failures
+      finished_.store(epoch, std::memory_order_release);
+      finished_.notify_one();
+    }
+  }
+
+  const int core_;
+  const std::function<void(int)>* job_ = nullptr;
+  std::atomic<std::uint32_t> dispatched_{0};
+  std::atomic<std::uint32_t> finished_{0};
+  std::thread thread_;  // last: Loop may run before the constructor returns
+};
+
+/// The process-wide pool: one stack of idle workers per core slot.  A run
+/// leases one worker per slot and creates one only when that slot's stack
+/// is empty, so the pool grows to the peak number of concurrent runs and
+/// never shrinks.
+class WorkerPool {
+ public:
+  static WorkerPool& Instance() {
+    static WorkerPool pool;
+    return pool;
+  }
+
+  std::vector<Worker*> Lease(int cores) {
+    std::vector<Worker*> leased(static_cast<std::size_t>(cores));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (idle_.size() < leased.size()) {
+      idle_.resize(leased.size());
+    }
+    // Grow first, lease second: if creating a thread throws, every worker
+    // is still on an idle stack.
+    for (int c = 0; c < cores; ++c) {
+      std::vector<Worker*>& idle = idle_[static_cast<std::size_t>(c)];
+      if (idle.empty()) {
+        workers_.push_back(std::make_unique<Worker>(c));
+        idle.push_back(workers_.back().get());
+      }
+    }
+    for (std::size_t c = 0; c < leased.size(); ++c) {
+      leased[c] = idle_[c].back();
+      idle_[c].pop_back();
+    }
+    return leased;
+  }
+
+  /// Returns workers that have all left their job (Worker::Finish).
+  void Release(const std::vector<Worker*>& leased) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t c = 0; c < leased.size(); ++c) {
+      idle_[c].push_back(leased[c]);
+    }
+  }
+
+  std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return workers_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::vector<Worker*>> idle_;  // per core slot
+};
+
 NativeRunStats RunSequential(const compiler::LoweredProgram& lowered,
                              const std::vector<std::uint64_t>& params_raw,
                              std::vector<std::uint64_t>& memory) {
@@ -250,7 +374,7 @@ NativeRunStats RunParallel(const compiler::LoweredProgram& lowered,
 
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const auto worker = [&](int c) {
+  const std::function<void(int)> job = [&](int c) {
     try {
       if (options.wedge_hook) {
         options.wedge_hook(c, aborted);
@@ -305,15 +429,17 @@ NativeRunStats RunParallel(const compiler::LoweredProgram& lowered,
   NativeRunStats stats;
   stats.cores = cores;
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) {
-    threads.emplace_back(worker, c);
-    PinThread(threads.back(), c);
+  WorkerPool& pool = WorkerPool::Instance();
+  const std::vector<Worker*> workers = pool.Lease(cores);
+  for (Worker* worker : workers) {
+    worker->Start(&job);
   }
-  for (std::thread& thread : threads) {
-    thread.join();
+  // Every worker leaves the job before the run returns, rethrows or hands
+  // the workers back, so a failed or aborted run leaves no worker behind.
+  for (Worker* worker : workers) {
+    worker->Finish();
   }
+  pool.Release(workers);
   const auto end = std::chrono::steady_clock::now();
   stats.wall_seconds = std::chrono::duration<double>(end - start).count();
   if (first_error != nullptr) {
@@ -338,6 +464,8 @@ NativeRunStats RunParallel(const compiler::LoweredProgram& lowered,
 }
 
 }  // namespace
+
+std::size_t NativeWorkerCount() { return WorkerPool::Instance().size(); }
 
 NativeRunStats ExecuteNative(const compiler::LoweredProgram& lowered,
                              const std::vector<std::uint64_t>& params_raw,

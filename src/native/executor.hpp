@@ -1,10 +1,15 @@
 // Executes a target-independent LoweredProgram on real host threads.
 //
-// The sequential form runs on the calling thread.  The parallel form
-// spawns one pinned std::thread per core and maps the plan's enq/deq items
-// onto SPSC rings (ring.hpp), one ring per (sender, receiver, register
-// class) triple — exactly the sim's queue identity, and single-producer/
-// single-consumer by construction.  The run protocol mirrors the sim
+// The sequential form runs on the calling thread.  The parallel form runs
+// core c on a worker leased from a process-wide pool of parked threads,
+// each pinned to CPU c (mod the CPU count) when it is created and reused
+// by later runs; the pool keeps one idle stack per core slot and creates a
+// worker only when a slot has none idle, so concurrent callers each get
+// their own.  The caller waits until every leased worker has left the
+// job, then returns, rethrows or hands the workers back.  The plan's
+// enq/deq items map onto SPSC rings (ring.hpp), one ring per (sender,
+// receiver, register class) triple — exactly the sim's queue identity,
+// and single-producer/single-consumer by construction.  The run protocol mirrors the sim
 // lowering minus the parts threads make redundant (function-pointer
 // dispatch and TERMINATE):
 //
@@ -48,12 +53,12 @@ struct NativeExecOptions {
   /// forever (the historical behaviour).  With a deadline armed, a worker
   /// whose peer wedges without dying — so the abort flag never flips —
   /// throws RingStallError instead of hanging the run; the executor then
-  /// aborts every other worker cooperatively, joins all threads, and
-  /// rethrows the stall as the run's structured error.
+  /// aborts every other worker cooperatively, waits until every worker has
+  /// left the run, and rethrows the stall as the run's structured error.
   std::uint64_t ring_wait_timeout_ms = 0;
 
-  /// Test-only fault injector, called on every worker thread right after
-  /// it starts (before any ring traffic), with the worker's core id and
+  /// Test-only fault injector, called on every worker as it starts the
+  /// run (before any ring traffic), with the worker's core id and
   /// the shared abort flag.  A hook that blocks until the flag flips
   /// simulates a wedged-but-alive worker; the watchdog test uses this to
   /// prove a stall aborts cleanly within the deadline.
@@ -69,6 +74,10 @@ NativeRunStats ExecuteNative(const compiler::LoweredProgram& lowered,
                              const std::vector<std::uint64_t>& params_raw,
                              std::vector<std::uint64_t>& memory,
                              const NativeExecOptions& options);
+
+/// Workers the parallel form's pool has created so far (read-only: the
+/// pool sizes itself to the peak number of concurrent runs).
+std::size_t NativeWorkerCount();
 
 /// Convenience overload keeping the original capacity-only signature.
 NativeRunStats ExecuteNative(const compiler::LoweredProgram& lowered,

@@ -20,6 +20,16 @@
 // slot is overwritten.  Counters sit on separate cache lines so the two
 // sides don't false-share.
 //
+// Each side also keeps a private cache of its last read of the other
+// side's counter (the producer of head_, the consumer of tail_), stored on
+// its own cache line.  A cached counter can only lag the shared one, so it
+// under-reports free slots (producer) or ready values (consumer) and is
+// always safe to act on; a side re-reads the shared counter, with the same
+// acquire load as above, only when its cache says the ring is full or
+// empty.  A producer running ahead of its consumer thus reads head_ about
+// once per ring's worth of pushes, and a consumer trailing its producer
+// reads tail_ once per batch of ready values, instead of once per op.
+//
 // Blocking waits spin briefly, then yield: the harness must stay live on a
 // single-CPU host, where a pure spin would starve the peer thread.
 //
@@ -44,6 +54,17 @@
 #include "support/error.hpp"
 
 namespace fgpar::native {
+
+/// Polls a blocking wait makes before it backs off (the ring yields, a
+/// parked pool worker sleeps on its futex).
+inline constexpr unsigned kSpinBudget = 64;
+
+/// One busy-wait step: a pause hint where the ISA has one.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
 
 /// A blocking Push/Pop exceeded the armed wait deadline: the peer side is
 /// wedged or dead without having tripped the abort flag.  Structured so the
@@ -95,9 +116,12 @@ class SpscRing {
   /// Blocking enqueue: waits while the ring is full.
   void Push(std::uint64_t value) {
     const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    WaitState wait;
-    while (t - head_.load(std::memory_order_acquire) >= capacity_) {
-      Wait(wait, "push");
+    if (t - head_cache_ >= capacity_) {
+      WaitState wait;
+      while (t - (head_cache_ = head_.load(std::memory_order_acquire)) >=
+             capacity_) {
+        Wait(wait, "push");
+      }
     }
     slots_[t % capacity_] = value;
     tail_.store(t + 1, std::memory_order_release);
@@ -106,9 +130,11 @@ class SpscRing {
   /// Blocking dequeue: waits until a value is available.
   std::uint64_t Pop() {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    WaitState wait;
-    while (tail_.load(std::memory_order_acquire) == h) {
-      Wait(wait, "pop");
+    if (tail_cache_ == h) {
+      WaitState wait;
+      while ((tail_cache_ = tail_.load(std::memory_order_acquire)) == h) {
+        Wait(wait, "pop");
+      }
     }
     const std::uint64_t value = slots_[h % capacity_];
     head_.store(h + 1, std::memory_order_release);
@@ -118,7 +144,9 @@ class SpscRing {
   /// Non-blocking enqueue; false if the ring is full.
   bool TryPush(std::uint64_t value) {
     const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    if (t - head_.load(std::memory_order_acquire) >= capacity_) {
+    if (t - head_cache_ >= capacity_ &&
+        t - (head_cache_ = head_.load(std::memory_order_acquire)) >=
+            capacity_) {
       return false;
     }
     slots_[t % capacity_] = value;
@@ -129,7 +157,8 @@ class SpscRing {
   /// Non-blocking dequeue; false if the ring is empty.
   bool TryPop(std::uint64_t& value) {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    if (tail_.load(std::memory_order_acquire) == h) {
+    if (tail_cache_ == h &&
+        (tail_cache_ = tail_.load(std::memory_order_acquire)) == h) {
       return false;
     }
     value = slots_[h % capacity_];
@@ -164,13 +193,11 @@ class SpscRing {
       throw Error(std::string("SPSC ") + what +
                   " aborted: peer worker failed");
     }
-    if (++wait.spins < 64) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
+    if (++wait.spins < kSpinBudget) {
+      CpuRelax();
       return;
     }
-    if (wait.spins == 64) {
+    if (wait.spins == kSpinBudget) {
       wait.blocked_since = std::chrono::steady_clock::now();
     } else if (timeout_ms_ > 0) {
       const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -192,8 +219,12 @@ class SpscRing {
 
   /// Consumer position (values popped); written only by the consumer.
   alignas(64) std::atomic<std::uint64_t> head_{0};
+  /// The consumer's last read of tail_; touched only by the consumer.
+  std::uint64_t tail_cache_ = 0;
   /// Producer position (values pushed); written only by the producer.
   alignas(64) std::atomic<std::uint64_t> tail_{0};
+  /// The producer's last read of head_; touched only by the producer.
+  std::uint64_t head_cache_ = 0;
 };
 
 }  // namespace fgpar::native

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/affine.hpp"
 #include "frontend/parser.hpp"
 #include "harness/repro.hpp"
 #include "harness/runner.hpp"
@@ -251,6 +252,15 @@ std::string ServiceCore::HandleCompileRun(
     CountResponse(kBadRequest);
     return BuildErrorResponse(request.id, Op::kCompileRun, kBadRequest,
                               "bad_kernel", e.what());
+  }
+  // So is a trip that drives a subscript past its array: the same check
+  // and message as fgparc --trip, before any compile.
+  try {
+    analysis::CheckTripInBounds(*kernel, request.config.trip);
+  } catch (const Error& e) {
+    CountResponse(kBadRequest);
+    return BuildErrorResponse(request.id, Op::kCompileRun, kBadRequest,
+                              "bad_request", e.what());
   }
 
   const harness::RunConfig run_config =

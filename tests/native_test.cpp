@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "compiler/compile.hpp"
 #include "frontend/parser.hpp"
 #include "harness/runner.hpp"
+#include "ir/interp.hpp"
 #include "kernels/experiments.hpp"
 #include "kernels/sequoia.hpp"
 #include "native/codegen.hpp"
@@ -200,6 +202,118 @@ TEST(NativeExecutor, WatchdogStaysQuietOnAHealthyRun) {
       kernels::RunKernel(kernels::SequoiaKernels()[0], config);
   EXPECT_TRUE(run.native_run);
   EXPECT_TRUE(run.native_verified);
+}
+
+/// One Sequoia kernel compiled for up to `cores` cores, with its input
+/// image and the reference interpreter's output image.  Heap-held by the
+/// tests: the compiled plan points at `layout`.
+struct NativeCase {
+  NativeCase(const kernels::SequoiaKernel& sequoia, int cores)
+      : label(sequoia.id + " cores=" + std::to_string(cores)),
+        kernel(kernels::ParseSequoia(sequoia)),
+        layout(kernel),
+        compiled(compiler::CompileParallel(kernel, layout, [cores] {
+          compiler::CompileOptions options;
+          options.num_cores = cores;
+          return options;
+        }())) {
+    ir::ParamEnv params(kernel);
+    image.assign(layout.end(), 0);
+    kernels::SequoiaInit(sequoia)(/*seed=*/1, kernel, layout, params, image);
+    for (const ir::Symbol& sym : kernel.symbols()) {
+      if (sym.kind == ir::SymbolKind::kParam) {
+        image[layout.ParamAddressOf(sym.id)] = params.GetRaw(sym.id);
+      }
+    }
+    golden = image;
+    ir::Interpreter(kernel, layout, params, golden).Run();
+    params_raw = native::RawParams(kernel, params);
+  }
+
+  /// One parallel run over a fresh copy of the input image; true when the
+  /// result equals the interpreter's image bit for bit.
+  bool RunVerified(const native::NativeExecOptions& options = {}) const {
+    std::vector<std::uint64_t> memory = image;
+    native::ExecuteNative(compiled.lowered(), params_raw, memory, options);
+    return memory == golden;
+  }
+
+  std::string label;
+  ir::Kernel kernel;
+  ir::DataLayout layout;
+  compiler::CompiledParallel compiled;
+  std::vector<std::uint64_t> image, golden, params_raw;
+};
+
+TEST(NativeExecutor, ConcurrentCallersShareThePoolAndVerify) {
+  // fig12 --backend native runs several sweep threads, each calling
+  // ExecuteNative: the pool must lease each concurrent run its own
+  // workers.  Four callers walk the 18 kernels x {2, 4} cores, each from a
+  // different starting point so the same kernel overlaps with itself too.
+  std::vector<std::unique_ptr<NativeCase>> cases;
+  for (const int cores : {2, 4}) {
+    for (const kernels::SequoiaKernel& sequoia : kernels::SequoiaKernels()) {
+      cases.push_back(std::make_unique<NativeCase>(sequoia, cores));
+    }
+  }
+  constexpr int kCallers = 4;
+  std::vector<std::vector<std::string>> mismatches(kCallers);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const NativeCase& c =
+            *cases[(i + static_cast<std::size_t>(t) * 9) % cases.size()];
+        if (!c.RunVerified()) {
+          mismatches[static_cast<std::size_t>(t)].push_back(c.label);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(mismatches[static_cast<std::size_t>(t)].empty())
+        << "caller " << t << " first mismatch: "
+        << mismatches[static_cast<std::size_t>(t)].front();
+  }
+}
+
+TEST(NativeExecutor, PoolStaysHealthyAfterAWedgedRun) {
+  // A run whose worker wedged and was aborted by the watchdog hands every
+  // worker back only after it left the job, so the next run in the same
+  // process reuses those workers and still verifies, promptly.
+  const NativeCase c(kernels::SequoiaKernelById("irs-1"), 2);
+  ASSERT_GE(c.compiled.cores_used, 2);
+  ASSERT_TRUE(c.RunVerified());
+  const std::size_t workers = native::NativeWorkerCount();
+
+  native::NativeExecOptions wedged;
+  wedged.ring_wait_timeout_ms = 200;
+  wedged.wedge_hook = [](int core, const std::atomic<bool>& aborted) {
+    while (core == 1 && !aborted.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  EXPECT_THROW((void)c.RunVerified(wedged), native::RingStallError);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(c.RunVerified());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(native::NativeWorkerCount(), workers);
+}
+
+TEST(NativeExecutor, SequentialRunsDoNotGrowThePool) {
+  // One caller needs one worker per core slot, however many runs it makes.
+  const NativeCase c(kernels::SequoiaKernelById("lammps-1"), 4);
+  ASSERT_TRUE(c.RunVerified());
+  const std::size_t workers = native::NativeWorkerCount();
+  EXPECT_GE(workers, static_cast<std::size_t>(c.compiled.cores_used));
+  for (int run = 0; run < 100; ++run) {
+    ASSERT_TRUE(c.RunVerified()) << "run " << run;
+  }
+  EXPECT_EQ(native::NativeWorkerCount(), workers);
 }
 
 }  // namespace

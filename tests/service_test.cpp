@@ -596,6 +596,44 @@ TEST(ServiceCore, BadKernelIs400NeverQuarantined) {
   EXPECT_EQ(ParseJson(core.Handle(request)).Get("code").AsI64(), kBadRequest);
 }
 
+TEST(ServiceCore, OutOfRangeTripIs400NeverQuarantined) {
+  // A trip that drives x[i] past x's 1024 elements is the client's error:
+  // fgparc --trip's check and message, a 400, no quarantine, no bundle,
+  // and nothing executed.  The array size itself still runs.
+  const std::string quarantine_dir = TempPath("svc_trip_quarantine");
+  std::filesystem::remove_all(quarantine_dir);
+  ServiceConfig config;
+  config.quarantine_dir = quarantine_dir;
+  ServiceCore core(config);
+  Request request = MakeCompileRun(4, /*cores=*/2, /*trip=*/5000);
+  request.kernel = R"(
+kernel saxpy {
+  param i64 n;
+  param f64 alpha;
+  array f64 x[1024];
+  array f64 y[1024];
+  loop i = 0 .. n {
+    f64 v = alpha * x[i] + y[i];
+    y[i] = v;
+  }
+}
+)";
+  const JsonValue doc = ParseJson(core.Handle(request));
+  EXPECT_EQ(doc.Get("code").AsI64(), kBadRequest);
+  EXPECT_EQ(doc.Get("error").Get("kind").AsString(), "bad_request");
+  EXPECT_EQ(doc.Get("error").Get("message").AsString(),
+            "--trip 5000 is out of range for kernel saxpy: loop i = 0 .. "
+            "5000 reaches x[4999], but x has 1024 elements");
+  EXPECT_EQ(Counter(core, "quarantine_entries"), 0u);
+  EXPECT_EQ(Counter(core, "executed"), 0u);
+  EXPECT_FALSE(std::filesystem::exists(quarantine_dir) &&
+               !std::filesystem::is_empty(quarantine_dir));
+
+  request.config.trip = 1024;
+  EXPECT_EQ(ParseJson(core.Handle(request)).Get("code").AsI64(), kOk);
+  EXPECT_EQ(Counter(core, "executed"), 1u);
+}
+
 TEST(ServiceCore, MalformedFrameIs400WithIdZero) {
   ServiceCore core(ServiceConfig{});
   const JsonValue doc = ParseJson(core.HandleFrame("{\"half\": "));

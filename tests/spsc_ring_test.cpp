@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "native/ring.hpp"
@@ -117,6 +118,74 @@ TEST(SpscRing, TwoThreadHammerPreservesEveryValueInOrder) {
   EXPECT_EQ(ring.total_transfers(), ops);
   std::uint64_t leftover = 0;
   EXPECT_FALSE(ring.TryPop(leftover));
+}
+
+TEST(SpscRing, MixedTryAndBlockingOpsKeepCachedIndicesExact) {
+  // Each side caches its last read of the other side's counter and
+  // re-reads it only when the cache says full (producer) or empty
+  // (consumer).  Alternating the Try and blocking forms, single-threaded
+  // and then across two threads, at capacities where the caches go stale
+  // on nearly every op, must keep strict FIFO and an exact transfer count.
+  for (const std::size_t capacity : {1u, 2u, 20u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    // Single-threaded: fill with TryPush/Push, check full, drain with
+    // TryPop/Pop, check empty — 500 wraparounds of the counters.
+    SpscRing ring(capacity);
+    std::uint64_t next_push = 0, next_pop = 0, value = 0;
+    for (int round = 0; round < 500; ++round) {
+      for (std::size_t i = 0; i < capacity; ++i) {
+        if (i % 2 == 0) {
+          ASSERT_TRUE(ring.TryPush(next_push++));
+        } else {
+          ring.Push(next_push++);
+        }
+      }
+      ASSERT_FALSE(ring.TryPush(next_push));
+      for (std::size_t i = 0; i < capacity; ++i) {
+        if (i % 2 == 0) {
+          ASSERT_EQ(ring.Pop(), next_pop++);
+        } else {
+          ASSERT_TRUE(ring.TryPop(value));
+          ASSERT_EQ(value, next_pop++);
+        }
+      }
+      ASSERT_FALSE(ring.TryPop(value));
+      ASSERT_EQ(ring.total_transfers(), next_pop);
+    }
+
+    // Two threads: every other op of each side is a Try op that spins on
+    // failure, so the caches are refreshed by both op forms.
+    constexpr std::uint64_t kOps = 20'000;
+    SpscRing shared(capacity);
+    std::uint64_t order_violations = 0;
+    std::thread producer([&shared] {
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        if (i % 2 == 0) {
+          shared.Push(i);
+        } else {
+          while (!shared.TryPush(i)) {
+            std::this_thread::yield();
+          }
+        }
+      }
+    });
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      std::uint64_t got = 0;
+      if (i % 2 == 0) {
+        while (!shared.TryPop(got)) {
+          std::this_thread::yield();
+        }
+      } else {
+        got = shared.Pop();
+      }
+      order_violations += got != i ? 1 : 0;
+    }
+    producer.join();
+    EXPECT_EQ(order_violations, 0u);
+    EXPECT_EQ(shared.total_transfers(), kOps);
+    EXPECT_EQ(shared.size(), 0u);
+    EXPECT_FALSE(shared.TryPop(value));
+  }
 }
 
 TEST(SpscRing, WaitDeadlinePopThrowsStructuredStallError) {

@@ -61,7 +61,6 @@
 #include <algorithm>
 #include <bit>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -299,68 +298,6 @@ harness::WorkloadInit MakeInit(const CliOptions& options) {
   };
 }
 
-/// --trip sets every i64 parameter, and with them the loop bounds.  Rejects
-/// a trip that drives an affine subscript c*i + k of the loop body outside
-/// its array, before anything is compiled.  Subscripts the affine analysis
-/// cannot see through (gathers, parameter offsets) keep the reference
-/// interpreter's own check.
-void CheckTripInBounds(const ir::Kernel& kernel, std::int64_t trip) {
-  const auto bound = [&](ir::ExprId id) -> std::optional<std::int64_t> {
-    const ir::ExprNode& node = kernel.expr(id);
-    if (node.kind == ir::ExprKind::kConstI) {
-      return node.const_i;
-    }
-    if (node.kind == ir::ExprKind::kParamRef &&
-        node.type == ir::ScalarType::kI64) {
-      return trip;
-    }
-    return std::nullopt;
-  };
-  const std::optional<std::int64_t> lower = bound(kernel.loop().lower);
-  const std::optional<std::int64_t> upper = bound(kernel.loop().upper);
-  if (!lower || !upper || *lower >= *upper) {
-    return;  // bounds the check cannot evaluate, or an empty loop
-  }
-  const auto check = [&](ir::SymbolId sym, ir::ExprId index) {
-    const analysis::LinearIndex linear = analysis::AnalyzeIndex(kernel, index);
-    if (!linear.affine || linear.residue != 0 || linear.coeff == 0) {
-      return;
-    }
-    const ir::Symbol& array = kernel.symbol(sym);
-    for (const std::int64_t iv : {*lower, *upper - 1}) {
-      std::int64_t at = 0;
-      const bool overflow = __builtin_mul_overflow(linear.coeff, iv, &at) ||
-                            __builtin_add_overflow(at, linear.offset, &at);
-      if (!overflow && at >= 0 && at < array.array_size) {
-        continue;
-      }
-      throw Error("--trip " + std::to_string(trip) +
-                  " is out of range for kernel " + kernel.name() + ": loop " +
-                  kernel.loop().iv_name + " = " + std::to_string(*lower) +
-                  " .. " + std::to_string(*upper) + " reaches " + array.name +
-                  "[" + (overflow ? "beyond i64" : std::to_string(at)) +
-                  "], but " + array.name + " has " +
-                  std::to_string(array.array_size) + " elements");
-    }
-  };
-  ir::Kernel::VisitStmts(kernel.loop().body, [&](const ir::Stmt& stmt) {
-    if (stmt.kind == ir::StmtKind::kStoreArray) {
-      check(stmt.sym, stmt.index);
-    }
-    for (const ir::ExprId root : {stmt.index, stmt.value}) {
-      if (root == ir::kNoExpr) {
-        continue;
-      }
-      kernel.VisitExpr(root, [&](ir::ExprId id) {
-        const ir::ExprNode& node = kernel.expr(id);
-        if (node.kind == ir::ExprKind::kArrayRef) {
-          check(node.sym, node.child[0]);
-        }
-      });
-    }
-  });
-}
-
 /// --list-kernels: enumerate the Sequoia corpus so harness scripts stop
 /// hard-coding the 18 names.  The fiber count comes from the default
 /// rewrite pipeline (the Table III "initial fibers" statistic).
@@ -416,7 +353,7 @@ int Main(int argc, char** argv) {
 
   const ir::Kernel kernel = frontend::ParseKernel(buffer.str());
   const ir::DataLayout layout(kernel);
-  CheckTripInBounds(kernel, options.trip);
+  analysis::CheckTripInBounds(kernel, options.trip);
 
   compiler::CompileOptions compile;
   compile.num_cores = options.cores;
