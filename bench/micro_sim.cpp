@@ -16,6 +16,10 @@
 //    (long unpipelined latencies on one core, the rest blocked on
 //    queues), exercising the event fast-forward and blocked-core skip;
 //  * BM_QueuePingPong                — queue-bound two-core traffic.
+//  * BM_SequoiaParallelRun           — one compiled Sequoia kernel
+//    (lammps-1) on its 2- and 4-core parallel machine, the multi-core run
+//    loop as the Fig. 12 grid drives it; compiling and loading the
+//    machine stay outside the timed region.
 //  * BM_CoreIssueThroughputTraced    — the reference loop with a telemetry
 //    sink installed (AggregatingSink), i.e. the cost of emitting one
 //    issue event per instruction on top of the slow loop.
@@ -33,6 +37,7 @@
 
 #include "harness/bench_artifact.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/experiments.hpp"
 #include "sim/machine.hpp"
 #include "support/telemetry/sinks.hpp"
 
@@ -221,6 +226,25 @@ void BM_QueuePingPong(benchmark::State& state) {
       static_cast<double>(transfers), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_QueuePingPong)->Arg(256)->Arg(1024);
+
+void BM_SequoiaParallelRun(benchmark::State& state) {
+  kernels::ExperimentConfig experiment;
+  experiment.cores = static_cast<int>(state.range(0));
+  const kernels::SequoiaKernel& spec = kernels::SequoiaKernelById("lammps-1");
+  const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                     kernels::SequoiaInit(spec));
+  const harness::RunConfig config = kernels::ToRunConfig(experiment);
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Machine machine = runner.BuildParallelMachine(config);
+    state.ResumeTiming();
+    instructions += machine.Run().instructions;
+  }
+  state.counters["sim_instr/s"] = benchmark::Counter(
+      static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SequoiaParallelRun)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_CacheAccess(benchmark::State& state) {
   sim::CacheConfig config;

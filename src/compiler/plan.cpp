@@ -55,6 +55,30 @@ bool ContainsConsumer(const ir::Kernel& kernel, const PlanItem& item,
   return false;
 }
 
+/// True if `item` (transitively) contains a dequeue of a transfer from
+/// `src_core` in register class `is_fp` whose producer comes after
+/// `producer` — a value the source core enqueues later on the same queue.
+bool DequeuesLaterProducer(const CommPlan& comm, const PlanItem& item,
+                           int src_core, bool is_fp, ir::StmtId producer) {
+  if (item.kind == PlanItem::Kind::kDeq) {
+    const Transfer& t = comm.transfers[static_cast<std::size_t>(item.transfer)];
+    return t.src_core == src_core &&
+           (t.type == ir::ScalarType::kF64) == is_fp &&
+           t.producer_stmt > producer;
+  }
+  if (item.kind != PlanItem::Kind::kIf) {
+    return false;
+  }
+  for (const std::vector<PlanItem>* block : {&item.then_items, &item.else_items}) {
+    for (const PlanItem& sub : *block) {
+      if (DequeuesLaterProducer(comm, sub, src_core, is_fp, producer)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 class PlanBuilder {
  public:
   PlanBuilder(const KernelIndex& index, const CoreAssignment& partition,
@@ -182,6 +206,16 @@ class PlanBuilder {
       FGPAR_CHECK_MSG(first_use < items.size(),
                       "transfer without a consumer in its placement block");
       const bool is_fp = t.type == ir::ScalarType::kF64;
+      // A nested if placed before the first use may already dequeue a value
+      // the same source enqueues later on this queue (its producer sits
+      // deeper on the control path); FIFO order needs this dequeue first.
+      for (std::size_t i = 0; i < first_use; ++i) {
+        if (DequeuesLaterProducer(comm_, items[i], t.src_core, is_fp,
+                                  t.producer_stmt)) {
+          first_use = i;
+          break;
+        }
+      }
       groups[{t.src_core, is_fp}].push_back(
           Incoming{t.id, t.producer_stmt, first_use});
     }

@@ -13,6 +13,8 @@
 //  * within a block, dequeues from one source are placed in the producer's
 //    emission order at the suffix-minimum of their first-use positions,
 //    which keeps per-queue FIFO order while dequeuing as late as possible;
+//  * a dequeue never moves past a nested if that dequeues a value the same
+//    source enqueues later on that queue: it is clamped to before the if;
 //  * block items keep original program order, so the cross-block order of
 //    queue operations is the same on every core.
 //

@@ -1,6 +1,7 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <sstream>
 
@@ -51,7 +52,48 @@ sim::RunResult RunBounded(sim::Machine& machine, std::uint64_t max_cycles,
   return outcome.result;
 }
 
+/// Arms core 0 at the primary entry and every other used core at the
+/// driver entry of a compiled parallel program.
+void StartParallelCores(sim::Machine& machine, int cores) {
+  machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
+  for (int c = 1; c < cores; ++c) {
+    machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
+  }
+}
+
 }  // namespace
+
+WorkloadInit TripWorkloadInit(std::int64_t trip) {
+  return [trip](std::uint64_t seed, const ir::Kernel& kernel,
+                const ir::DataLayout& layout, ir::ParamEnv& params,
+                std::vector<std::uint64_t>& memory) {
+    Rng rng(seed);
+    for (const ir::Symbol& sym : kernel.symbols()) {
+      switch (sym.kind) {
+        case ir::SymbolKind::kParam:
+          if (sym.type == ir::ScalarType::kI64) {
+            params.SetI64(sym.id, trip);
+          } else {
+            params.SetF64(sym.id, rng.NextDouble(0.5, 2.0));
+          }
+          break;
+        case ir::SymbolKind::kArray: {
+          const std::uint64_t base = layout.AddressOf(sym.id);
+          for (std::int64_t i = 0; i < sym.array_size; ++i) {
+            memory[base + static_cast<std::uint64_t>(i)] =
+                sym.type == ir::ScalarType::kF64
+                    ? std::bit_cast<std::uint64_t>(rng.NextDouble(0.5, 2.0))
+                    : static_cast<std::uint64_t>(
+                          rng.NextInt(0, sym.array_size - 1));
+          }
+          break;
+        }
+        case ir::SymbolKind::kScalar:
+          break;
+      }
+    }
+  };
+}
 
 KernelRunner::KernelRunner(const ir::Kernel& kernel, WorkloadInit init)
     : kernel_(kernel), layout_(kernel_, /*base=*/64), init_(std::move(init)) {
@@ -166,6 +208,28 @@ analysis::ProfileData KernelRunner::CollectProfile(const RunConfig& config) cons
   const Prepared prepared = Prepare(config);
   return analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
                                         prepared.image, config.cache);
+}
+
+sim::Machine KernelRunner::BuildParallelMachine(const RunConfig& config) const {
+  FGPAR_CHECK_MSG(!config.tune_by_simulation,
+                  "BuildParallelMachine needs a static select "
+                  "(tune_by_simulation=false)");
+  const Prepared prepared = Prepare(config);
+  std::optional<analysis::ProfileData> profile;
+  if (config.collect_profile) {
+    profile.emplace(analysis::ProfileData::Collect(
+        kernel_, layout_, prepared.params, prepared.image, config.cache));
+  }
+  compiler::CompileOptions options = config.compile;
+  options.assumed_queue_capacity = config.queue.capacity;
+  compiler::CompiledParallel compiled = compiler::CompileParallel(
+      kernel_, layout_, options, profile ? &*profile : nullptr,
+      /*evaluator=*/nullptr, /*instrumentation=*/nullptr, config.cost_model);
+  sim::Machine machine(MachineConfigFor(config, compiled.cores_used),
+                       std::move(compiled.program));
+  LoadImage(machine, prepared.image);
+  StartParallelCores(machine, compiled.cores_used);
+  return machine;
 }
 
 model::Prediction KernelRunner::Predict(const RunConfig& config) const {
@@ -294,10 +358,7 @@ KernelRun KernelSession::Run(const RunConfig& config) const {
       training.queue.transfer_latency = config.compile.assumed_transfer_latency;
       sim::Machine machine(runner_.MachineConfigFor(training, cores), program);
       runner_.LoadImage(machine, prepared.image);
-      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
-      for (int c = 1; c < cores; ++c) {
-        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
-      }
+      StartParallelCores(machine, cores);
       return machine.Run().core0_halt_cycle;
     };
     // With a telemetry sink, the compile contributes its pipeline/pass
@@ -339,10 +400,7 @@ KernelRun KernelSession::Run(const RunConfig& config) const {
       }
       sim::Machine machine(mc, compiled.program);
       runner_.LoadImage(machine, prepared.image);
-      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
-      for (int c = 1; c < compiled.cores_used; ++c) {
-        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
-      }
+      StartParallelCores(machine, compiled.cores_used);
       // Each attempt traces into its own stream lane, so a retried point's
       // attempts stay distinguishable in one trace file.  (An enclosing
       // StreamSink — e.g. the sweep supervisor's per-point lane — restamps

@@ -51,6 +51,12 @@ using WorkloadInit =
                        const ir::DataLayout&, ir::ParamEnv&,
                        std::vector<std::uint64_t>&)>;
 
+/// The trip-count workload fgparc and fgpard run a kernel on: every i64
+/// parameter gets `trip`, every f64 parameter and array element derives
+/// from the run seed (f64 values in [0.5, 2), i64 elements as in-bounds
+/// indices into their own array).
+WorkloadInit TripWorkloadInit(std::int64_t trip);
+
 /// Thrown when a simulated execution's memory differs from the golden
 /// model.  Distinguished from other errors so the fallback logic can
 /// classify fault-induced corruption.
@@ -243,6 +249,14 @@ class KernelRunner {
   /// with this; the predictor cross-validation bench scores it.  Builds a
   /// one-shot KernelSession and predicts with it.
   model::Prediction Predict(const RunConfig& config) const;
+
+  /// The parallel machine Run(config) measures, compiled the same way from
+  /// the same prepared workload and profile, loaded and armed but not run
+  /// (no fault injection, no telemetry).  Static select only:
+  /// config.tune_by_simulation must be false.  For tests and benchmarks
+  /// that need what a KernelRun does not carry: per-core statistics,
+  /// snapshots, pause/resume and the run loop's own host time.
+  sim::Machine BuildParallelMachine(const RunConfig& config) const;
 
   const ir::Kernel& kernel() const { return kernel_; }
   const ir::DataLayout& layout() const { return layout_; }

@@ -1,7 +1,6 @@
 #include "service/core.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -14,46 +13,11 @@
 #include "support/error.hpp"
 #include "support/serial.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry/sinks.hpp"
 
 namespace fgpar::service {
 
 namespace {
-
-/// The same deterministic workload fgparc builds: i64 params get the
-/// request's trip count, f64 params and arrays derive from the run seed.
-harness::WorkloadInit MakeInit(std::int64_t trip) {
-  return [trip](std::uint64_t seed, const ir::Kernel& kernel,
-                const ir::DataLayout& layout, ir::ParamEnv& params,
-                std::vector<std::uint64_t>& memory) {
-    Rng rng(seed);
-    for (const ir::Symbol& sym : kernel.symbols()) {
-      switch (sym.kind) {
-        case ir::SymbolKind::kParam:
-          if (sym.type == ir::ScalarType::kI64) {
-            params.SetI64(sym.id, trip);
-          } else {
-            params.SetF64(sym.id, rng.NextDouble(0.5, 2.0));
-          }
-          break;
-        case ir::SymbolKind::kArray: {
-          const std::uint64_t base = layout.AddressOf(sym.id);
-          for (std::int64_t i = 0; i < sym.array_size; ++i) {
-            memory[base + static_cast<std::uint64_t>(i)] =
-                sym.type == ir::ScalarType::kF64
-                    ? std::bit_cast<std::uint64_t>(rng.NextDouble(0.5, 2.0))
-                    : static_cast<std::uint64_t>(
-                          rng.NextInt(0, sym.array_size - 1));
-          }
-          break;
-        }
-        case ir::SymbolKind::kScalar:
-          break;
-      }
-    }
-  };
-}
 
 harness::RunConfig ToRunConfig(const RunRequestConfig& config,
                                std::uint64_t cycle_budget) {
@@ -273,7 +237,7 @@ std::string ServiceCore::HandleCompileRun(
       throw Error("injected drill failure (--drill-crash-every " +
                   std::to_string(config_.drill_crash_every) + ")");
     }
-    harness::KernelRunner runner(*kernel, MakeInit(request.config.trip));
+    harness::KernelRunner runner(*kernel, harness::TripWorkloadInit(request.config.trip));
     const harness::KernelRun run = runner.Run(run_config);
     const std::string body = BuildResultBody(run, /*degraded=*/false, "");
     // Insert persists atomically before the response leaves the daemon,
@@ -289,7 +253,7 @@ std::string ServiceCore::HandleCompileRun(
     // request's content.
     if (!deadline_expired()) {
       try {
-        harness::KernelRunner runner(*kernel, MakeInit(request.config.trip));
+        harness::KernelRunner runner(*kernel, harness::TripWorkloadInit(request.config.trip));
         const std::uint64_t seq_cycles = runner.MeasureSequential(run_config);
         harness::KernelRun degraded;
         degraded.kernel_name = kernel->name();

@@ -28,27 +28,11 @@ QueueMatrix::QueueMatrix(int num_cores, const QueueConfig& config)
   }
 }
 
-int QueueMatrix::Index(int src, int dst) const {
+void QueueMatrix::BadIndex(int src, int dst) const {
   FGPAR_CHECK_MSG(src >= 0 && src < num_cores_ && dst >= 0 && dst < num_cores_,
                   "queue core index out of range");
   FGPAR_CHECK_MSG(src != dst, "no self-queue exists");
-  return src * num_cores_ + dst;
-}
-
-HardwareQueue& QueueMatrix::IntQueue(int src, int dst) {
-  return int_queues_[static_cast<std::size_t>(Index(src, dst))];
-}
-
-HardwareQueue& QueueMatrix::FpQueue(int src, int dst) {
-  return fp_queues_[static_cast<std::size_t>(Index(src, dst))];
-}
-
-const HardwareQueue& QueueMatrix::IntQueue(int src, int dst) const {
-  return int_queues_[static_cast<std::size_t>(const_cast<QueueMatrix*>(this)->Index(src, dst))];
-}
-
-const HardwareQueue& QueueMatrix::FpQueue(int src, int dst) const {
-  return fp_queues_[static_cast<std::size_t>(const_cast<QueueMatrix*>(this)->Index(src, dst))];
+  FGPAR_UNREACHABLE("BadIndex called on a valid queue pair");
 }
 
 int QueueMatrix::UsedChannelCount() const {
@@ -111,24 +95,6 @@ void Core::Start(std::int64_t pc) {
   stalled_deq_remote_ = -1;
   stalled_enq_remote_ = -1;
   stalled_enq_injected_ = false;
-}
-
-bool Core::stalled_on_deq(int& remote, bool& is_fp) const {
-  if (stalled_deq_remote_ < 0) {
-    return false;
-  }
-  remote = stalled_deq_remote_;
-  is_fp = stalled_deq_fp_;
-  return true;
-}
-
-bool Core::stalled_on_enq(int& remote, bool& is_fp) const {
-  if (stalled_enq_remote_ < 0) {
-    return false;
-  }
-  remote = stalled_enq_remote_;
-  is_fp = stalled_enq_fp_;
-  return true;
 }
 
 std::int64_t Core::gpr(int index) const {

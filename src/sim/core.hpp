@@ -39,10 +39,18 @@ class QueueMatrix {
  public:
   QueueMatrix(int num_cores, const QueueConfig& config);
 
-  HardwareQueue& IntQueue(int src, int dst);
-  HardwareQueue& FpQueue(int src, int dst);
-  const HardwareQueue& IntQueue(int src, int dst) const;
-  const HardwareQueue& FpQueue(int src, int dst) const;
+  HardwareQueue& IntQueue(int src, int dst) {
+    return int_queues_[Index(src, dst)];
+  }
+  HardwareQueue& FpQueue(int src, int dst) {
+    return fp_queues_[Index(src, dst)];
+  }
+  const HardwareQueue& IntQueue(int src, int dst) const {
+    return int_queues_[Index(src, dst)];
+  }
+  const HardwareQueue& FpQueue(int src, int dst) const {
+    return fp_queues_[Index(src, dst)];
+  }
   int num_cores() const { return num_cores_; }
 
   /// Number of distinct directional queues with at least one transfer —
@@ -66,7 +74,17 @@ class QueueMatrix {
   void LoadState(ByteReader& r);
 
  private:
-  int Index(int src, int dst) const;
+  /// Flat index of the (src, dst) queue; inline because every queue op and
+  /// every queue-stall re-check goes through it.  A bad pair throws from
+  /// the out-of-line BadIndex.
+  std::size_t Index(int src, int dst) const {
+    if (src < 0 || src >= num_cores_ || dst < 0 || dst >= num_cores_ ||
+        src == dst) [[unlikely]] {
+      BadIndex(src, dst);
+    }
+    return static_cast<std::size_t>(src * num_cores_ + dst);
+  }
+  [[noreturn]] void BadIndex(int src, int dst) const;
 
   int num_cores_;
   std::vector<HardwareQueue> int_queues_;
@@ -133,11 +151,19 @@ class Core {
 
   /// When the core is stalled on a dequeue, identifies the source core and
   /// register class so the machine can compute the next arrival event.
-  bool stalled_on_deq(int& remote, bool& is_fp) const;
+  bool stalled_on_deq(int& remote, bool& is_fp) const {
+    remote = stalled_deq_remote_;
+    is_fp = stalled_deq_fp_;
+    return stalled_deq_remote_ >= 0;
+  }
 
   /// When the core is stalled on an enqueue, identifies the destination
   /// core and register class (for stall/deadlock reports).
-  bool stalled_on_enq(int& remote, bool& is_fp) const;
+  bool stalled_on_enq(int& remote, bool& is_fp) const {
+    remote = stalled_enq_remote_;
+    is_fp = stalled_enq_fp_;
+    return stalled_enq_remote_ >= 0;
+  }
 
   /// True if the last enqueue stall was injected by the fault injector
   /// rather than a genuinely full queue; the machine must then schedule a

@@ -12,10 +12,6 @@ HardwareQueue::HardwareQueue(int capacity, int transfer_latency)
   FGPAR_CHECK(transfer_latency >= 0);
 }
 
-bool HardwareQueue::CanEnqueue() const {
-  return static_cast<int>(slots_.size()) < capacity_;
-}
-
 int HardwareQueue::InFlight(std::uint64_t now) const {
   int in_flight = 0;
   for (const Slot& slot : slots_) {
@@ -40,10 +36,6 @@ void HardwareQueue::Enqueue(std::uint64_t payload, std::uint64_t now) {
   }
   slots_.push_back(Slot{payload, now + static_cast<std::uint64_t>(latency)});
   max_occupancy_ = std::max(max_occupancy_, static_cast<int>(slots_.size()));
-}
-
-bool HardwareQueue::CanDequeue(std::uint64_t now) const {
-  return !slots_.empty() && slots_.front().arrival_cycle <= now;
 }
 
 std::uint64_t HardwareQueue::Dequeue(std::uint64_t now) {

@@ -40,14 +40,16 @@ class HardwareQueue {
   HardwareQueue(int capacity, int transfer_latency);
 
   /// True if an enqueue can be accepted this cycle.
-  bool CanEnqueue() const;
+  bool CanEnqueue() const { return static_cast<int>(slots_.size()) < capacity_; }
 
   /// Inserts a payload at cycle `now`; caller must have checked CanEnqueue
   /// (throws a diagnostic Error otherwise).
   void Enqueue(std::uint64_t payload, std::uint64_t now);
 
   /// True if the head value exists and has arrived by cycle `now`.
-  bool CanDequeue(std::uint64_t now) const;
+  bool CanDequeue(std::uint64_t now) const {
+    return !slots_.empty() && slots_.front().arrival_cycle <= now;
+  }
 
   /// Removes and returns the head payload; caller must have checked
   /// CanDequeue (throws a diagnostic Error otherwise).

@@ -346,20 +346,31 @@ PauseResult Machine::RunSlow() {
 
 PauseResult Machine::RunFast() {
   // Fast path: no fault injection, no watchdog, no trace sink.  The loop
-  // mirrors RunSlow cycle-for-cycle — same SMT slot arbitration, same
+  // visits cycles in RunSlow's order — same SMT slot arbitration, same
   // intra-cycle core order, same fast-forward events, same stall
-  // accounting — but (a) issues through the predecoded instruction cache
-  // and (b) skips the full issue attempt for cores that provably cannot
-  // issue this cycle: pipeline-busy cores and cores still blocked on the
-  // same queue condition that stalled them last evaluation.  A skipped
-  // blocked core costs two loads and a compare instead of a Step call.
+  // accounting — but issues through the predecoded instruction cache and
+  // steps a core only once it can issue.  Each core's lane holds `wake`,
+  // the earliest cycle at which an issue attempt can do anything but
+  // repeat the core's last outcome:
   //
-  // The skip is sound because a queue-stalled core's state is frozen until
-  // its queue condition changes: its pc is unchanged, its source operands
-  // were ready when the stall was diagnosed (ready-cycles only move when
-  // the core itself issues), and its issue stage is free.  Re-evaluating
-  // CanEnqueue/CanDequeue at the core's exact position in the cycle order
-  // therefore reproduces precisely what Step would have concluded.
+  //  * pipeline busy or waiting on an operand: next_issue_cycle();
+  //  * blocked on a dequeue: the queue head's arrival, or never while the
+  //    queue is empty;
+  //  * blocked on an enqueue: never.
+  //
+  // Only a peer can move the two blocked cases, and the issuing peer does:
+  // an enqueue sets the blocked consumer's wake to the head's arrival, and
+  // a dequeue wakes the blocked producer in the same cycle if its physical
+  // core is evaluated later, else in the next one.  Nothing else changes a
+  // blocked core's queue condition: every queue has one producer and one
+  // consumer, the transfer latency is fixed (>= 1) on this path, and a
+  // blocked core's pc and operands are frozen (ready cycles move only when
+  // the core itself issues).  A core whose wake has not come costs one
+  // compare; a blocked one is charged one stall cycle exactly where the
+  // reference loop would have re-checked it and stalled again.  Waking a
+  // core early is always safe — StepFast re-derives the same stall and the
+  // loop charges the same cycle — so a resumed run simply wakes every
+  // running core at its next_issue_cycle().
   if (!decoded_) {
     decoded_ = std::make_unique<DecodedProgram>(program_, config_.timing);
   }
@@ -367,16 +378,32 @@ PauseResult Machine::RunFast() {
     return RunFastSingle();
   }
   const DecodedProgram& dp = *decoded_;
-
-  constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
-  int running = RunningCores();
-
-  // Same once-per-Run clear as RunSlow; stale slots are only read in the
-  // no-issue fast-forward, when every active core was evaluated this cycle.
-  outcomes_.assign(cores_.size(), StepOutcome::kIdle);
-  std::vector<StepOutcome>& outcomes = outcomes_;
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  using Wait = Lane::Wait;
   const int tpc = config_.threads_per_core;
   const int physical = (config_.num_cores + tpc - 1) / tpc;
+
+  int running = 0;
+  lanes_.assign(cores_.size(), Lane{kNever, nullptr, Wait::kNone});
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c].started() && !cores_[c].halted()) {
+      lanes_[c].wake = cores_[c].next_issue_cycle();
+      ++running;
+    }
+  }
+  const auto queue = [&](const DecodedInstruction& di, int src,
+                         int dst) -> const HardwareQueue& {
+    return di.is_fp_queue ? queues_.FpQueue(src, dst)
+                          : queues_.IntQueue(src, dst);
+  };
+  const auto charge_stall = [&](std::size_t c, std::uint64_t cycles) {
+    const Wait wait = lanes_[c].wait;
+    if (wait == Wait::kDeq) {
+      cores_[c].mutable_stats().stall_queue_empty += cycles;
+    } else if (wait == Wait::kEnq) {
+      cores_[c].mutable_stats().stall_queue_full += cycles;
+    }
+  };
 
   while (running > 0) {
     if (now_ >= stop_at_) {
@@ -391,59 +418,58 @@ PauseResult Machine::RunFast() {
       const int start =
           count == 1 ? 0 : static_cast<int>(now_ % static_cast<std::uint64_t>(count));
       for (int k = 0; k < count; ++k) {
-        const std::size_t c = static_cast<std::size_t>(base + (start + k) % count);
-        Core& core = cores_[c];
-        if (!core.started() || core.halted()) {
-          continue;  // outcome slot stays non-stall forever; never re-read
-        }
-        if (core.next_issue_cycle() > now_) {
-          outcomes[c] = StepOutcome::kPipelineBusy;
+        const int id = count == 1 ? base : base + (start + k) % count;
+        const std::size_t c = static_cast<std::size_t>(id);
+        Lane& lane = lanes_[c];
+        if (lane.wake > now_) {
+          charge_stall(c, 1);
           continue;
         }
-        int remote = -1;
-        bool is_fp = false;
-        if (core.stalled_on_deq(remote, is_fp)) {
-          const HardwareQueue& q = is_fp ? queues_.FpQueue(remote, core.id())
-                                         : queues_.IntQueue(remote, core.id());
-          if (!q.CanDequeue(now_)) {
-            outcomes[c] = StepOutcome::kStallDeqEmpty;
-            ++core.mutable_stats().stall_queue_empty;
-            continue;
-          }
-        } else if (core.stalled_on_enq(remote, is_fp)) {
-          const HardwareQueue& q = is_fp ? queues_.FpQueue(core.id(), remote)
-                                         : queues_.IntQueue(core.id(), remote);
-          if (!q.CanEnqueue()) {
-            outcomes[c] = StepOutcome::kStallEnqFull;
-            ++core.mutable_stats().stall_queue_full;
-            continue;
-          }
-        }
-        const StepOutcome outcome = core.StepFast(now_, dp, memory_, queues_);
-        outcomes[c] = outcome;
-        switch (outcome) {
+        Core& core = cores_[c];
+        const DecodedInstruction& di = dp.at(core.pc());
+        switch (core.StepFast(now_, dp, memory_, queues_)) {
           case StepOutcome::kIssued:
             issued_any = true;
+            lane.wait = Wait::kNone;
+            lane.queue = nullptr;
+            lane.wake = core.next_issue_cycle();
             if (core.halted()) {
+              lane.wake = kNever;
               --running;
               if (c == 0 && !core0_halt_recorded_) {
                 core0_halt_recorded_ = true;
                 core0_halt_cycle_ = now_;
               }
             }
+            if (di.is_enqueue) {
+              const HardwareQueue& q = queue(di, id, di.queue);
+              Lane& consumer = lanes_[static_cast<std::size_t>(di.queue)];
+              if (consumer.queue == &q) {
+                consumer.wake = q.HeadArrival();
+              }
+            } else if (di.is_dequeue) {
+              const HardwareQueue& q = queue(di, di.queue, id);
+              Lane& producer = lanes_[static_cast<std::size_t>(di.queue)];
+              if (producer.queue == &q) {
+                producer.wake = di.queue / tpc > p ? now_ : now_ + 1;
+              }
+            }
             break;
-          case StepOutcome::kStallDeqEmpty:
-            ++core.mutable_stats().stall_queue_empty;
-            break;
+          case StepOutcome::kStallDeqEmpty: {
+            const HardwareQueue& q = queue(di, di.queue, id);
+            lane = Lane{q.empty() ? kNever : q.HeadArrival(), &q, Wait::kDeq};
+            charge_stall(c, 1);
+            continue;
+          }
           case StepOutcome::kStallEnqFull:
-            ++core.mutable_stats().stall_queue_full;
-            break;
-          default:
-            break;
+            lane = Lane{kNever, &queue(di, id, di.queue), Wait::kEnq};
+            charge_stall(c, 1);
+            continue;
+          default:  // kPipelineBusy: an operand is not ready yet
+            lane = Lane{core.next_issue_cycle(), nullptr, Wait::kNone};
+            continue;
         }
-        if (outcome == StepOutcome::kIssued) {
-          break;  // SMT: the physical core's single issue slot is taken
-        }
+        break;  // SMT: the physical core's single issue slot is taken
       }
     }
 
@@ -455,61 +481,28 @@ PauseResult Machine::RunFast() {
     FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
                     "no core issued for no_progress_limit cycles");
 
-    // No core issued: fast-forward to the next event (same event model as
-    // RunSlow minus the fault-only cases — no frozen cores and no injected
-    // enqueue rejections exist on this path).  Unlike the reference loop,
-    // which advances one cycle at a time while any dequeue-blocked queue
-    // has a value in flight, this loop jumps straight to the head's
-    // arrival: nothing can issue in between (queue contents are frozen
-    // while no core issues, and every pipeline-free cycle is in the event
-    // set), so the only observable difference is the stall accounting,
-    // compensated for exactly below.
-    std::uint64_t next_event = kNoEvent;
-    bool crawl = false;  // would the reference loop advance cycle-by-cycle?
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      const Core& core = cores_[c];
-      if (!core.started() || core.halted()) {
-        continue;
-      }
-      if (core.next_issue_cycle() > now_) {
-        next_event = std::min(next_event, core.next_issue_cycle());
-        continue;
-      }
-      int remote = -1;
-      bool is_fp = false;
-      if (core.stalled_on_deq(remote, is_fp)) {
-        const HardwareQueue& q = is_fp ? queues_.FpQueue(remote, core.id())
-                                       : queues_.IntQueue(remote, core.id());
-        // CanDequeue(now_) was false, so a non-empty queue's head arrives
-        // strictly in the future; its arrival is this core's next event.
-        if (!q.empty()) {
-          next_event = std::min(next_event, q.HeadArrival());
-          crawl = true;
-        }
-      }
-      // Cores stalled on a full queue depend on another core's progress;
-      // they contribute no event of their own.
+    // No core issued, so every running core was stepped or skipped this
+    // cycle and every wake is final and in the future: fast-forward to the
+    // earliest.  Nothing can issue in between.  The reference loop crawls
+    // such a gap one cycle at a time while a dequeue-blocked core's queue
+    // holds a value in flight, charging each blocked core twice per cycle
+    // (its re-check plus the single-cycle fast-forward) except for the
+    // landing cycle's re-check, which both loops make: 2k - 1 for a k-cycle
+    // jump.  Without a value in flight it jumps too, charging k.
+    std::uint64_t next_event = kNever;
+    bool crawl = false;
+    for (const Lane& lane : lanes_) {
+      next_event = std::min(next_event, lane.wake);
+      crawl |= lane.wait == Wait::kDeq && lane.wake != kNever;
     }
-
-    if (next_event == kNoEvent) {
+    if (next_event == kNever) {
       throw DeadlockError(BuildStallReport(now_ - last_issue_cycle_,
                                            /*provable_deadlock=*/true));
     }
-    // Stall accounting, matched to the reference loop.  Jumping k cycles
-    // with no in-flight value pending charges each stalled core k (one per
-    // skipped fast-forward).  When a value is in flight, the reference
-    // loop instead crawls those k cycles one at a time, so each stalled
-    // core is charged twice per cycle — once by its re-check and once by
-    // the single-cycle fast-forward — except the landing cycle's re-check,
-    // which both loops perform normally: 2k - 1.
     const std::uint64_t skipped = next_event - now_;
     const std::uint64_t charge = crawl ? 2 * skipped - 1 : skipped;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
-      if (outcomes[c] == StepOutcome::kStallDeqEmpty) {
-        cores_[c].mutable_stats().stall_queue_empty += charge;
-      } else if (outcomes[c] == StepOutcome::kStallEnqFull) {
-        cores_[c].mutable_stats().stall_queue_full += charge;
-      }
+      charge_stall(c, charge);
     }
     now_ = next_event;
   }

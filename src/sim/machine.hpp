@@ -130,8 +130,9 @@ class Machine {
   /// runs the fast loop plus the direct-threaded block translator
   /// (sim/threaded.hpp), which compiles hot basic blocks into computed-
   /// goto traces.  The *fast tier* steps against the predecoded
-  /// instruction cache (built lazily, once per Machine) and skips cores
-  /// that provably cannot issue this cycle.  The *slow tier* is the
+  /// instruction cache (built lazily, once per Machine) and steps a core
+  /// only from its wake cycle on, the earliest cycle at which it can
+  /// issue (docs/INTERNALS.md §8).  The *slow tier* is the
   /// reference implementation: it polls every core every cycle and
   /// carries the fault injector, the stall watchdog, and the telemetry
   /// sink; it is used iff fault injection is enabled,
@@ -224,8 +225,9 @@ class Machine {
   StallReport BuildStallReport(std::uint64_t stalled_cycles,
                                bool provable_deadlock) const;
 
-  /// Fast run loop: predecoded dispatch, issue-skip for blocked cores, no
-  /// instrumentation hooks.  Bit-identical timing/state to RunSlow.
+  /// Fast run loop: predecoded dispatch, wake-driven (a core is stepped
+  /// only once it can issue), no instrumentation hooks.  Bit-identical
+  /// timing/state to RunSlow.
   PauseResult RunFast();
   /// Single-core specialization of RunFast: no SMT arbitration, no queue
   /// stalls (a 1-core machine has no queues), so the loop is just
@@ -302,10 +304,24 @@ class Machine {
   RunTier resolved_tier_ = RunTier::kAuto;
   bool tier_dirty_ = true;
   int tier_resolve_count_ = 0;
-  /// Per-core outcome of the current cycle, reused across Run calls to
-  /// avoid per-cycle clears (only slots of cores evaluated this cycle are
-  /// written; stale slots are never read — see the run-loop comments).
+  /// RunSlow's per-core outcome of the current cycle, reused across Run
+  /// calls to avoid per-cycle clears (only slots of cores evaluated this
+  /// cycle are written; stale slots are never read — see the run-loop
+  /// comments).
   std::vector<StepOutcome> outcomes_;
+  /// RunFast's per-core wake state (docs/INTERNALS.md §8).  Rebuilt from
+  /// the cores at every RunFast entry — a blocked core wakes at once and
+  /// re-derives its wait — so it is never serialized.
+  struct Lane {
+    enum class Wait : std::uint8_t { kNone, kDeq, kEnq };
+    /// Earliest cycle at which the core may issue; UINT64_MAX ("never")
+    /// while it is not running or waits on a peer that has not acted yet.
+    std::uint64_t wake = 0;
+    /// The queue a blocked core waits on (null unless wait != kNone).
+    const HardwareQueue* queue = nullptr;
+    Wait wait = Wait::kNone;
+  };
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace fgpar::sim

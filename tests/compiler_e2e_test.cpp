@@ -343,6 +343,45 @@ TEST_P(RandomProgramProperty, ParallelMatchesGoldenOn2And4Cores) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramProperty,
                          ::testing::Range<std::uint64_t>(1, 41));
 
+// The paper's Section V path selects one candidate statically, so a plan
+// the pairing checker rejects cannot hide behind a second, simulated
+// candidate.  These generator seeds used to fail it: an outer-block value
+// was dequeued at its first use, after a replicated if that had already
+// dequeued a later value of the same queue ("communication pairing
+// violated on queue 1->0 (fp)" for seed 93 at 2 cores).
+TEST(StaticSelect, Seed93TwoCoresKeepsQueueOrderAcrossNestedIf) {
+  const RandomKernelCase random = GenerateRandomKernel(93);
+  KernelRunner runner(random.kernel, random.init);
+  RunConfig config;
+  config.compile.num_cores = 2;
+  config.tune_by_simulation = false;
+  config.seed = 93;
+  config.fallback.fall_back_to_sequential = false;
+  const KernelRun run = runner.Run(config);  // throws on any mismatch
+  EXPECT_EQ(run.cores_used, 2);
+  EXPECT_FALSE(run.fallback_used);
+}
+
+class StaticSelectRandomProgram : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StaticSelectRandomProgram, CompilesAndMatchesGoldenOn2To4Cores) {
+  const RandomKernelCase random = GenerateRandomKernel(GetParam());
+  KernelRunner runner(random.kernel, random.init);
+  for (int cores : {2, 3, 4}) {
+    RunConfig config;
+    config.compile.num_cores = cores;
+    config.tune_by_simulation = false;
+    config.seed = GetParam();
+    config.fallback.fall_back_to_sequential = false;
+    const KernelRun run = runner.Run(config);
+    EXPECT_GT(run.seq_cycles, 0u) << cores << " cores";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FormerPairingFailures, StaticSelectRandomProgram,
+                         ::testing::Values(93, 225, 252, 254, 256, 350, 354,
+                                           387, 424, 471));
+
 class RandomProgramSpeculationProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -20,11 +20,19 @@
 //
 // The TierEquivalence tests extend the same contract to the third run
 // tier: every kernel is swept through slow, fast, and direct-threaded
-// (RunConfig::force_tier) and all three must agree on every observable.
-// They are also registered as a standalone ctest label
-// (`ctest -L tier_equivalence`) so CI can gate on the sweep by name.
+// (RunConfig::force_tier) and all three must agree on every observable —
+// the KernelRun fields, and on the parallel machine itself every core's
+// CoreStats and the final Snapshot() bytes (registers, scoreboards, stall
+// latches, queues, memory, cache state).  The sweep covers all 18 kernels
+// at 2 and 4 cores, an SMT machine (2 threads per core on 4 threads) and
+// a capacity-1 queue machine, where enqueue-full stalls occur.  They are
+// also registered as a standalone ctest label (`ctest -L
+// tier_equivalence`) so CI can gate on the sweep by name.
 #include <cstdio>
 #include <cstdlib>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +106,58 @@ TEST(GoldenCycles, RepresentativeKernelsMatchReference) {
   }
 }
 
+void ExpectCoreStatsEqual(const sim::CoreStats& f, const sim::CoreStats& s,
+                          const std::string& label) {
+  EXPECT_EQ(f.instructions, s.instructions) << label;
+  EXPECT_EQ(f.enqueues, s.enqueues) << label;
+  EXPECT_EQ(f.dequeues, s.dequeues) << label;
+  EXPECT_EQ(f.loads, s.loads) << label;
+  EXPECT_EQ(f.stores, s.stores) << label;
+  EXPECT_EQ(f.stall_raw, s.stall_raw) << label;
+  EXPECT_EQ(f.stall_queue_empty, s.stall_queue_empty) << label;
+  EXPECT_EQ(f.stall_queue_full, s.stall_queue_full) << label;
+}
+
+void ExpectCoreStatsEqual(const sim::Machine& fast, const sim::Machine& slow) {
+  ASSERT_EQ(fast.num_cores(), slow.num_cores());
+  for (int c = 0; c < fast.num_cores(); ++c) {
+    ExpectCoreStatsEqual(fast.core(c).stats(), slow.core(c).stats(),
+                         "core " + std::to_string(c));
+  }
+}
+
+/// The measured parallel machine of `spec` under `config`, run to the end.
+struct MachineRun {
+  sim::RunResult result;
+  std::vector<sim::CoreStats> stats;
+  std::vector<std::uint8_t> snapshot;
+};
+
+MachineRun RunParallelMachine(const harness::KernelRunner& runner,
+                              const harness::RunConfig& config) {
+  sim::Machine machine = runner.BuildParallelMachine(config);
+  MachineRun run;
+  run.result = machine.Run();
+  for (int c = 0; c < machine.num_cores(); ++c) {
+    run.stats.push_back(machine.core(c).stats());
+  }
+  run.snapshot = machine.Snapshot();
+  return run;
+}
+
+void ExpectMachineRunsEqual(const MachineRun& a, const MachineRun& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.result.cycles, b.result.cycles) << label;
+  EXPECT_EQ(a.result.core0_halt_cycle, b.result.core0_halt_cycle) << label;
+  EXPECT_EQ(a.result.instructions, b.result.instructions) << label;
+  ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
+  for (std::size_t c = 0; c < a.stats.size(); ++c) {
+    ExpectCoreStatsEqual(a.stats[c], b.stats[c],
+                         label + " core " + std::to_string(c));
+  }
+  EXPECT_TRUE(a.snapshot == b.snapshot) << label << ": final snapshots differ";
+}
+
 void ExpectRunsEqual(const harness::KernelRun& fast,
                      const harness::KernelRun& slow, const std::string& id) {
   EXPECT_EQ(fast.seq_cycles, slow.seq_cycles) << id;
@@ -115,63 +175,128 @@ TEST(FastSlowEquivalence, AllKernelsFourCores) {
     kernels::ExperimentConfig config;
     config.cores = 4;
     const harness::KernelRun fast = kernels::RunKernel(spec, config);
+    const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                       kernels::SequoiaInit(spec));
+    MachineRun fast_machine =
+        RunParallelMachine(runner, kernels::ToRunConfig(config));
     config.force_slow_path = true;
     const harness::KernelRun slow = kernels::RunKernel(spec, config);
+    MachineRun slow_machine =
+        RunParallelMachine(runner, kernels::ToRunConfig(config));
     ExpectRunsEqual(fast, slow, spec.id);
+    // force_slow_path is part of the snapshot identity, so the snapshots
+    // differ by construction; TierEquivalence compares them under
+    // force_tier, which is not.
+    fast_machine.snapshot.clear();
+    slow_machine.snapshot.clear();
+    ExpectMachineRunsEqual(fast_machine, slow_machine, spec.id);
   }
 }
 
 /// Runs `spec` under all three run tiers with otherwise-identical config
-/// and requires every KernelRun observable to agree.  The sequential leg
-/// of the threaded run is single-core and hot, so it genuinely executes
-/// inside traces; the parallel leg exercises the machine-level
-/// multi-core delegation to the fast loop.
-void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
-                                kernels::ExperimentConfig config) {
+/// and requires every KernelRun observable, and on the parallel machine
+/// every core's statistics and the final snapshot bytes, to agree.  The
+/// sequential leg of the threaded run is single-core and hot, so it
+/// genuinely executes inside traces; the parallel leg exercises the
+/// machine-level multi-core delegation to the fast loop.  Returns the
+/// parallel machine's enqueue-full stall cycles over all cores.
+std::uint64_t CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
+                                         harness::RunConfig config) {
+  const std::string label = spec.id + " cores=" +
+                            std::to_string(config.compile.num_cores) +
+                            " tpc=" + std::to_string(config.threads_per_core) +
+                            " capacity=" + std::to_string(config.queue.capacity);
+  const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                     kernels::SequoiaInit(spec));
   config.force_tier = sim::RunTier::kSlow;
-  const harness::KernelRun slow = kernels::RunKernel(spec, config);
+  const harness::KernelRun slow = runner.Run(config);
+  const MachineRun slow_machine = RunParallelMachine(runner, config);
   config.force_tier = sim::RunTier::kFast;
-  const harness::KernelRun fast = kernels::RunKernel(spec, config);
+  const harness::KernelRun fast = runner.Run(config);
+  const MachineRun fast_machine = RunParallelMachine(runner, config);
   config.force_tier = sim::RunTier::kThreaded;
-  const harness::KernelRun threaded = kernels::RunKernel(spec, config);
-  ExpectRunsEqual(fast, slow, spec.id + std::string(" (fast vs slow)"));
-  ExpectRunsEqual(threaded, slow, spec.id + std::string(" (threaded vs slow)"));
+  const harness::KernelRun threaded = runner.Run(config);
+  const MachineRun threaded_machine = RunParallelMachine(runner, config);
+  ExpectRunsEqual(fast, slow, label + " (fast vs slow)");
+  ExpectRunsEqual(threaded, slow, label + " (threaded vs slow)");
+  ExpectMachineRunsEqual(fast_machine, slow_machine, label + " (fast vs slow)");
+  ExpectMachineRunsEqual(threaded_machine, slow_machine,
+                         label + " (threaded vs slow)");
+  // The machine is the one the KernelRun measured.
+  EXPECT_EQ(slow_machine.result.core0_halt_cycle, slow.par_cycles) << label;
   // Pinned tiers must leave their marks: the threaded run translated and
   // entered traces; the lower tiers never touched the translator.
-  EXPECT_GT(threaded.threaded_stats.trace_enters, 0u) << spec.id;
-  EXPECT_EQ(fast.threaded_stats.trace_enters, 0u) << spec.id;
-  EXPECT_EQ(slow.threaded_stats.trace_enters, 0u) << spec.id;
+  EXPECT_GT(threaded.threaded_stats.trace_enters, 0u) << label;
+  EXPECT_EQ(fast.threaded_stats.trace_enters, 0u) << label;
+  EXPECT_EQ(slow.threaded_stats.trace_enters, 0u) << label;
+  std::uint64_t enqueue_full = 0;
+  for (const sim::CoreStats& stats : slow_machine.stats) {
+    enqueue_full += stats.stall_queue_full;
+  }
+  return enqueue_full;
+}
+
+harness::RunConfig TierConfig(int cores) {
+  kernels::ExperimentConfig config;
+  config.cores = cores;
+  return kernels::ToRunConfig(config);
 }
 
 TEST(TierEquivalence, AllKernelsFourCores) {
   for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
-    kernels::ExperimentConfig config;
-    config.cores = 4;
+    CheckKernelTierEquivalence(spec, TierConfig(4));
+  }
+}
+
+TEST(TierEquivalence, AllKernelsTwoCores) {
+  for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
+    CheckKernelTierEquivalence(spec, TierConfig(2));
+  }
+}
+
+TEST(TierEquivalence, SmtTwoThreadsPerCoreAgrees) {
+  // Four hardware threads on two physical cores: the wake-driven loop must
+  // reproduce the reference loop's round-robin slot arbitration, including
+  // which blocked threads a taken slot leaves unevaluated (and uncharged).
+  for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
+    harness::RunConfig config = TierConfig(4);
+    config.threads_per_core = 2;
     CheckKernelTierEquivalence(spec, config);
   }
 }
 
-TEST(TierEquivalence, RepresentativeKernelsTwoCores) {
-  for (const GoldenEntry& golden : kGolden) {
-    kernels::ExperimentConfig config;
-    config.cores = 2;
-    CheckKernelTierEquivalence(kernels::SequoiaKernelById(golden.id), config);
+TEST(TierEquivalence, CapacityOneQueuesAgree) {
+  // One-slot queues: producers block on full queues, so enqueue-full
+  // stalls and the dequeue-side wake of a blocked producer both occur.
+  // The static capacity checker proves a cyclic wait in three kernels'
+  // plans at this capacity and rejects them; every other kernel must run.
+  const std::set<std::string> rejected = {"lammps-3", "irs-5", "umt2k-4"};
+  std::uint64_t enqueue_full = 0;
+  for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
+    harness::RunConfig config = TierConfig(4);
+    config.queue.capacity = 1;
+    if (rejected.contains(spec.id)) {
+      EXPECT_THROW(kernels::RunKernel(spec, config), Error) << spec.id;
+      continue;
+    }
+    enqueue_full += CheckKernelTierEquivalence(spec, config);
   }
+  EXPECT_GT(enqueue_full, 0u) << "capacity 1 never filled a queue";
 }
 
 TEST(TierEquivalence, SpeculationConfigAgrees) {
   // Control-flow speculation changes the compiled code (and thus which
   // blocks get hot); the tier contract must hold for that shape too.
-  kernels::ExperimentConfig config;
-  config.cores = 4;
-  config.speculation = true;
+  harness::RunConfig config = TierConfig(4);
+  config.compile.speculation = true;
   CheckKernelTierEquivalence(kernels::SequoiaKernelById("sphot-1"), config);
 }
 
 /// Two cores bouncing values through their queues: every fast-path
-/// mechanism engages (issue-skip of the blocked core, the multi-cycle
-/// fast-forward to a queue head's arrival, and its 2k-1 stall-accounting
-/// compensation), so any accounting drift shows up in the per-core stats.
+/// mechanism engages (the blocked core skipped until its peer wakes it,
+/// the multi-cycle fast-forward to a queue head's arrival, and its 2k-1
+/// stall-accounting compensation), so any accounting drift shows up in the
+/// per-core stats.
 isa::Program PingPongProgram(std::int64_t rounds) {
   isa::Assembler a;
   isa::Label core0 = a.NewNamedLabel("core0");
@@ -199,22 +324,6 @@ isa::Program PingPongProgram(std::int64_t rounds) {
   a.Bnz(isa::Gpr{1}, top1);
   a.Halt();
   return a.Finish();
-}
-
-void ExpectCoreStatsEqual(const sim::Machine& fast, const sim::Machine& slow) {
-  ASSERT_EQ(fast.num_cores(), slow.num_cores());
-  for (int c = 0; c < fast.num_cores(); ++c) {
-    const sim::CoreStats& f = fast.core(c).stats();
-    const sim::CoreStats& s = slow.core(c).stats();
-    EXPECT_EQ(f.instructions, s.instructions) << "core " << c;
-    EXPECT_EQ(f.enqueues, s.enqueues) << "core " << c;
-    EXPECT_EQ(f.dequeues, s.dequeues) << "core " << c;
-    EXPECT_EQ(f.loads, s.loads) << "core " << c;
-    EXPECT_EQ(f.stores, s.stores) << "core " << c;
-    EXPECT_EQ(f.stall_raw, s.stall_raw) << "core " << c;
-    EXPECT_EQ(f.stall_queue_empty, s.stall_queue_empty) << "core " << c;
-    EXPECT_EQ(f.stall_queue_full, s.stall_queue_full) << "core " << c;
-  }
 }
 
 TEST(FastSlowEquivalence, PingPongStallStatsIdentical) {

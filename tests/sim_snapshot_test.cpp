@@ -5,7 +5,9 @@
 // produces *bit-identical* results to an uninterrupted run — same final
 // cycle count, same per-core statistics, same memory image, same fault
 // schedule — for all three run loops (fast multi-core, fast single-core,
-// and the instrumented slow path with fault injection and the watchdog).
+// and the instrumented slow path with fault injection and the watchdog),
+// on hand-built ping-pong machines and on compiled 4-core Sequoia
+// machines paused while a core is blocked on a queue.
 // Equality is asserted in the strongest possible form: the final snapshots
 // of the two machines must be byte-for-byte identical.
 //
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hpp"
+#include "kernels/experiments.hpp"
 #include "sim/machine.hpp"
 #include "support/error.hpp"
 
@@ -135,6 +138,64 @@ TEST(Snapshot, PauseResumeBitIdenticalFastPath) {
   for (const std::uint64_t stop :
        {std::uint64_t{1}, total / 7, total / 2, total - 2}) {
     CheckPauseResumeIdentical(make, stop);
+  }
+}
+
+/// Pauses a machine from `make` at every loop boundary from `from` on and
+/// returns the first boundary at which some core is blocked on a dequeue
+/// (or, with `on_enqueue`, on an enqueue); 0 if the run ends first.
+template <typename MakeMachine>
+std::uint64_t FirstBlockedStop(MakeMachine make, bool on_enqueue,
+                               std::uint64_t from) {
+  sim::Machine probe = make();
+  if (probe.RunUntil(from).finished) {
+    return 0;
+  }
+  do {
+    for (int c = 0; c < probe.num_cores(); ++c) {
+      int remote = -1;
+      bool is_fp = false;
+      const sim::Core& core = probe.core(c);
+      if (on_enqueue ? core.stalled_on_enq(remote, is_fp)
+                     : core.stalled_on_deq(remote, is_fp)) {
+        return probe.now();
+      }
+    }
+  } while (!probe.RunUntil(probe.now() + 1).finished);
+  return 0;
+}
+
+TEST(Snapshot, PauseResumeBitIdenticalFourCoreSequoia) {
+  // Compiled 4-core Sequoia machines, paused where a core is blocked on a
+  // queue: the run loop rebuilds its wake state from the restored cores
+  // and queues, and must resume exactly as if it had never stopped.  Both
+  // kernels fill queues (producers block) at capacity 1 and at 20.
+  for (const char* id : {"lammps-1", "umt2k-5"}) {
+    const kernels::SequoiaKernel& spec = kernels::SequoiaKernelById(id);
+    const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                       kernels::SequoiaInit(spec));
+    for (const int capacity : {1, 20}) {
+      kernels::ExperimentConfig experiment;
+      experiment.cores = 4;
+      experiment.queue_capacity = capacity;
+      const harness::RunConfig config = kernels::ToRunConfig(experiment);
+      auto make = [&] { return runner.BuildParallelMachine(config); };
+      SCOPED_TRACE(std::string(id) + " capacity " + std::to_string(capacity));
+
+      sim::Machine probe = make();
+      ASSERT_EQ(probe.num_cores(), 4);
+      const std::uint64_t total = probe.Run().cycles;
+      std::vector<std::uint64_t> stops;
+      for (const std::uint64_t from : {std::uint64_t{0}, total / 2}) {
+        stops.push_back(FirstBlockedStop(make, /*on_enqueue=*/false, from));
+        ASSERT_NE(stops.back(), 0u) << "no dequeue-blocked core after " << from;
+      }
+      stops.push_back(FirstBlockedStop(make, /*on_enqueue=*/true, 0));
+      ASSERT_NE(stops.back(), 0u) << "no enqueue-blocked core";
+      for (const std::uint64_t stop : stops) {
+        CheckPauseResumeIdentical(make, stop);
+      }
+    }
   }
 }
 

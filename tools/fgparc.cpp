@@ -59,7 +59,6 @@
 #include <cstdio>
 #include <cstring>
 #include <algorithm>
-#include <bit>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -82,7 +81,6 @@
 #include "sim/machine.hpp"
 #include "support/buildinfo.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
 #include "support/str.hpp"
 #include "support/telemetry/sinks.hpp"
 
@@ -265,39 +263,6 @@ CliOptions ParseArgs(int argc, char** argv) {
   return options;
 }
 
-harness::WorkloadInit MakeInit(const CliOptions& options) {
-  const std::int64_t trip = options.trip;
-  return [trip](std::uint64_t seed, const ir::Kernel& kernel,
-                const ir::DataLayout& layout, ir::ParamEnv& params,
-                std::vector<std::uint64_t>& memory) {
-    Rng rng(seed);
-    for (const ir::Symbol& sym : kernel.symbols()) {
-      switch (sym.kind) {
-        case ir::SymbolKind::kParam:
-          if (sym.type == ir::ScalarType::kI64) {
-            params.SetI64(sym.id, trip);
-          } else {
-            params.SetF64(sym.id, rng.NextDouble(0.5, 2.0));
-          }
-          break;
-        case ir::SymbolKind::kArray: {
-          const std::uint64_t base = layout.AddressOf(sym.id);
-          for (std::int64_t i = 0; i < sym.array_size; ++i) {
-            memory[base + static_cast<std::uint64_t>(i)] =
-                sym.type == ir::ScalarType::kF64
-                    ? std::bit_cast<std::uint64_t>(rng.NextDouble(0.5, 2.0))
-                    : static_cast<std::uint64_t>(
-                          rng.NextInt(0, sym.array_size - 1));
-          }
-          break;
-        }
-        case ir::SymbolKind::kScalar:
-          break;
-      }
-    }
-  };
-}
-
 /// --list-kernels: enumerate the Sequoia corpus so harness scripts stop
 /// hard-coding the 18 names.  The fiber count comes from the default
 /// rewrite pipeline (the Table III "initial fibers" statistic).
@@ -439,7 +404,7 @@ int Main(int argc, char** argv) {
     tune_options.default_point.merge = options.throughput ? 2 : 0;
     tune_options.seed = options.seed;
     const harness::TuneResult tuned = harness::AutotuneKernel(
-        kernel, MakeInit(options), harness::TuneSpace{}, tune_options);
+        kernel, harness::TripWorkloadInit(options.trip), harness::TuneSpace{}, tune_options);
     std::printf("kernel:       %s\n", kernel.name().c_str());
     std::printf("enumerated:   %zu configs\n", tuned.enumerated);
     std::printf("simulated:    %zu (frontier %zu, %.0f%% of the space)\n",
@@ -492,7 +457,7 @@ int Main(int argc, char** argv) {
   }
 
   if (options.run) {
-    harness::KernelRunner runner(kernel, MakeInit(options));
+    harness::KernelRunner runner(kernel, harness::TripWorkloadInit(options.trip));
     harness::RunConfig config;
     config.compile = compile;
     config.queue.transfer_latency = options.latency;
